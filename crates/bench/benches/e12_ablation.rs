@@ -59,8 +59,8 @@ fn bench(c: &mut Criterion) {
     ];
     for (name, removed) in &ablations {
         let registry = match removed {
-            None => SolverRegistry::standard(&cfg),
-            Some(choice) => SolverRegistry::standard(&cfg).without(*choice),
+            None => SolverRegistry::standard(),
+            Some(choice) => SolverRegistry::standard().without(*choice),
         };
         let engine = Engine::with_registry(cfg, registry);
         let report = engine.solve(&star, &fleet[0]);
@@ -96,8 +96,8 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for (name, removed) in &ablations {
         let registry = match removed {
-            None => SolverRegistry::standard(&cfg),
-            Some(choice) => SolverRegistry::standard(&cfg).without(*choice),
+            None => SolverRegistry::standard(),
+            Some(choice) => SolverRegistry::standard().without(*choice),
         };
         let engine = Engine::with_registry(cfg, registry);
         let id = engine.register(&star);

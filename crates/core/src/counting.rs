@@ -1,37 +1,41 @@
-//! The [`CountSolver`] trait and the priority-ordered counting registry —
-//! the counting half of the classification (Theorem 6.1), mirrored on the
-//! decision registry of [`crate::registry`].
+//! Counting dispatch: the [`CountMethod`] tiers in priority order — the
+//! counting half of the classification (Theorem 6.1), mirrored on the
+//! decision tiers of [`crate::registry`].
 //!
 //! Theorem 6.1 classifies `p-#HOM(A)` by the widths of the class members
 //! **themselves**: counting is not invariant under taking cores (a query
 //! and its proper core have equal decision answers but different counts),
-//! so unlike the decision registry — which keys on the core's widths — a
-//! counting solver's [`CountSolver::admits`] keys on
-//! [`PreparedQuery::counting_widths`], the width profile of the query
-//! exactly as submitted, and its [`CountSolver::count`] runs on
-//! [`PreparedQuery::original`] with the original-structure certificates of
-//! [`PreparedQuery::counting_analysis`].
+//! so unlike decision — which keys on the core's widths —
+//! [`CountMethod::admits`] keys on [`PreparedQuery::counting_widths`], the
+//! width profile of the query exactly as submitted, and
+//! [`CountMethod::count`] runs on [`PreparedQuery::original`] with the
+//! original-structure certificates of [`PreparedQuery::counting_analysis`].
+//! Weighted aggregates ([`CountMethod::evaluate`]) share these licences
+//! and tiers exactly: a core collapses distinct homomorphisms that may have
+//! distinct costs.
 //!
-//! The standard registry order follows the theorem's algorithmic tiers:
+//! The standard [`CountRegistry`] order follows the theorem's algorithmic
+//! tiers:
 //!
-//! 1. [`ForestCountSolver`] — the sum–product recursion over the
-//!    elimination forest (Theorem 6.1 (3), bounded tree depth);
-//! 2. [`TreeDecCountSolver`] — the extension-counting DP over the tree
-//!    decomposition (the tractable tier of the counting classification,
-//!    bounded treewidth);
-//! 3. [`BruteForceCountSolver`] — exhaustive enumeration, admitting every
+//! 1. [`CountMethod::ForestSumProduct`] — the sum–product recursion over
+//!    the elimination forest (Theorem 6.1 (3), bounded tree depth);
+//! 2. [`CountMethod::TreeDecompositionDp`] — the extension-counting DP over
+//!    the tree decomposition (the tractable tier of the counting
+//!    classification, bounded treewidth);
+//! 3. [`CountMethod::BruteForce`] — exhaustive enumeration, admitting every
 //!    query, so a registry walk always terminates.
 //!
-//! Ablations are registry edits ([`CountRegistry::without`],
-//! [`CountRegistry::new`]), exactly as for decision.
+//! Ablations are registry edits ([`CountRegistry::without`]), exactly as
+//! for decision.
 
+use crate::aggregates::AggregateObjective;
 use crate::engine::EngineConfig;
-use crate::prepared::PreparedQuery;
+use crate::prepared::{PreparedQuery, Side};
 use crate::service::Engine;
 use crate::Degree;
 use cq_decomp::WidthProfile;
-use cq_solver::Nat;
-use cq_structures::{count_homomorphisms_bruteforce, Structure, StructureIndex};
+use cq_solver::{MaxWeightSemiring, MinCostSemiring, Nat, Semiring};
+use cq_structures::{count_homomorphisms_bruteforce, Structure, StructureIndex, TupleWeights};
 
 /// Which counting algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,13 +124,13 @@ impl std::fmt::Display for CountOutcome {
     }
 }
 
-/// What one counting-solver invocation produced.
+/// What one counting-tier evaluation produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountEvaluation {
     /// The number of homomorphisms, or a typed overflow.
     pub outcome: CountOutcome,
-    /// A solver-specific work figure for the experiment reports; `None`
-    /// when the solver meters nothing.
+    /// A tier-specific work figure for the experiment reports; `None`
+    /// when the tier meters nothing.
     pub work: Option<u64>,
 }
 
@@ -148,152 +152,129 @@ pub struct CountReport {
     /// core-invariant.
     pub degree_hint: Degree,
     /// Width profile of the original query (what
-    /// [`CountSolver::admits`] keyed on).
+    /// [`CountMethod::admits`] keyed on).
     pub widths: WidthProfile,
     /// Universe size of the counted (original) query.
     pub counted_query_size: usize,
 }
 
-/// One counting algorithm in the registry.
-///
-/// Implementations must be cheap to consult: `admits` reads the prepared
-/// query's cached original-structure width profile, and `count` runs
-/// against the prepared counting certificates — all exponential-in-the-query
-/// work belongs to preparation, not here.  (The engine materializes the
-/// counting certificates before consulting the registry, so `admits` never
-/// triggers the lazy analysis itself.)
-pub trait CountSolver: Send + Sync {
-    /// Short human-readable name (used in reports and bench labels).
-    fn name(&self) -> &'static str;
+impl CountMethod {
+    /// The tier itself.  [`CountRegistry::select`] returns the tier, and
+    /// callers read it back by this name (perfbench's traced replay does).
+    pub fn method(self) -> CountMethod {
+        self
+    }
 
-    /// The [`CountMethod`] tag this solver reports as.
-    fn method(&self) -> CountMethod;
-
-    /// Whether this solver's structural licence covers the prepared query
-    /// under the given thresholds.  Counting licences key on the *original*
-    /// query's widths ([`PreparedQuery::counting_widths`]).
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool;
+    /// Whether this tier's structural licence covers the prepared query
+    /// under the given thresholds — keyed on the *original* query's widths
+    /// ([`PreparedQuery::counting_widths`]).
+    pub fn admits(self, query: &PreparedQuery, config: &EngineConfig) -> bool {
+        match self {
+            CountMethod::ForestSumProduct => {
+                query.counting_widths().treedepth <= config.treedepth_threshold
+            }
+            CountMethod::TreeDecompositionDp => {
+                query.counting_widths().treewidth <= config.treewidth_threshold
+            }
+            CountMethod::BruteForce => true,
+        }
+    }
 
     /// Count homomorphisms from the prepared query's original structure
-    /// into one database through its cached [`StructureIndex`].
-    fn count(
-        &self,
+    /// into one database through its cached [`StructureIndex`]:
+    ///
+    /// * forest — the recursion `N_{r→b} = Π_i Σ_{b'} N_{t_i→b'}` with one
+    ///   image per ancestor in memory;
+    /// * tree DP — retained across in-place deltas
+    ///   ([`PreparedQuery::count_via_tree`]);
+    /// * brute force — deliberately the un-indexed reference enumeration:
+    ///   this tier doubles as the oracle of the counting differential
+    ///   tests.  The underlying search hoists its symbol translation once
+    ///   per call and visits complete assignments by reference, so the
+    ///   enumeration runs with no per-assignment map allocation while
+    ///   staying reference-pure.
+    pub fn count(
+        self,
         query: &PreparedQuery,
         database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation;
-}
-
-/// Sum–product counting over the original query's elimination forest
-/// (Theorem 6.1 (3)): for bounded tree depth the recursion
-/// `N_{r→b} = Π_i Σ_{b'} N_{t_i→b'}` counts with one image per ancestor in
-/// memory.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForestCountSolver;
-
-impl CountSolver for ForestCountSolver {
-    fn name(&self) -> &'static str {
-        "elimination-forest sum-product counting"
+    ) -> CountEvaluation {
+        let (outcome, work) = match self {
+            CountMethod::ForestSumProduct => {
+                let run = query.forest(index, Side::Original).count(index);
+                (run.count.into(), run.assignments)
+            }
+            CountMethod::TreeDecompositionDp => {
+                let run = query.count_via_tree(index);
+                (run.count.into(), run.peak_table as u64)
+            }
+            CountMethod::BruteForce => {
+                // Enumeration visits each homomorphism once: the count is
+                // the work.
+                let count = count_homomorphisms_bruteforce(query.original(), database);
+                (CountOutcome::Exact(count), count)
+            }
+        };
+        CountEvaluation {
+            outcome,
+            work: Some(work),
+        }
     }
 
-    fn method(&self) -> CountMethod {
-        CountMethod::ForestSumProduct
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.counting_widths().treedepth <= config.treedepth_threshold
-    }
-
-    fn count(
-        &self,
+    /// Optimize `objective` over all homomorphisms from the prepared
+    /// query's original structure into the database, reading tuple weights
+    /// from `weights` (which must align with the database's rows).  The
+    /// compiled counting programs are reused — a program is
+    /// semiring-agnostic, only the run differs — and the fallback tier is
+    /// the indexed exhaustive kernel search over the original structure.
+    pub fn evaluate(
+        self,
         query: &PreparedQuery,
         _database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation {
-        let run = query.count_via_forest(index);
-        CountEvaluation {
-            outcome: run.count.into(),
-            work: Some(run.assignments),
+        weights: &TupleWeights,
+        objective: AggregateObjective,
+    ) -> Option<u64> {
+        match objective {
+            AggregateObjective::MinCost => self.aggregate::<MinCostSemiring>(query, index, weights),
+            AggregateObjective::MaxWeight => {
+                self.aggregate::<MaxWeightSemiring>(query, index, weights)
+            }
         }
     }
-}
 
-/// Extension-counting DP over the original query's tree decomposition — the
-/// bounded-treewidth tier of the counting classification.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeDecCountSolver;
-
-impl CountSolver for TreeDecCountSolver {
-    fn name(&self) -> &'static str {
-        "tree-decomposition counting DP"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::TreeDecompositionDp
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.counting_widths().treewidth <= config.treewidth_threshold
-    }
-
-    fn count(
-        &self,
+    fn aggregate<S: Semiring>(
+        self,
         query: &PreparedQuery,
-        _database: &Structure,
         index: &StructureIndex,
-    ) -> CountEvaluation {
-        let run = query.count_via_tree(index);
-        CountEvaluation {
-            outcome: run.count.into(),
-            work: Some(run.peak_table as u64),
+        weights: &TupleWeights,
+    ) -> S::Value {
+        let weights = Some(weights);
+        match self {
+            CountMethod::ForestSumProduct => query
+                .forest(index, Side::Original)
+                .eval::<S>(index, weights, &mut 0),
+            CountMethod::TreeDecompositionDp => {
+                query
+                    .tree(index, Side::Original)
+                    .eval::<S>(index, weights)
+                    .0
+            }
+            CountMethod::BruteForce => {
+                query
+                    .search(index, Side::Original)
+                    .aggregate::<S>(index, weights)
+                    .0
+            }
         }
     }
 }
 
-/// Exhaustive enumeration — the structural-guarantee-free reference; admits
-/// every query, so it terminates every registry walk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BruteForceCountSolver;
-
-impl CountSolver for BruteForceCountSolver {
-    fn name(&self) -> &'static str {
-        "brute-force enumeration counting"
-    }
-
-    fn method(&self) -> CountMethod {
-        CountMethod::BruteForce
-    }
-
-    fn admits(&self, _query: &PreparedQuery, _config: &EngineConfig) -> bool {
-        true
-    }
-
-    fn count(
-        &self,
-        query: &PreparedQuery,
-        database: &Structure,
-        _index: &StructureIndex,
-    ) -> CountEvaluation {
-        // Deliberately the un-indexed reference enumeration: this solver
-        // doubles as the oracle of the counting differential tests.  The
-        // underlying search hoists its symbol translation once per call and
-        // visits complete assignments by reference, so the enumeration runs
-        // with no per-assignment map allocation while staying
-        // reference-pure.
-        let count = count_homomorphisms_bruteforce(query.original(), database);
-        CountEvaluation {
-            outcome: CountOutcome::Exact(count),
-            // Enumeration visits each homomorphism once: the count is the
-            // work.
-            work: Some(count),
-        }
-    }
-}
-
-/// A priority-ordered list of counting solvers; dispatch picks the first
-/// that admits the query.
+/// A priority-ordered list of counting tiers; dispatch picks the first that
+/// admits the query.  Serves counting and weighted aggregates alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountRegistry {
-    solvers: Vec<Box<dyn CountSolver>>,
+    tiers: Vec<CountMethod>,
 }
 
 impl CountRegistry {
@@ -301,61 +282,29 @@ impl CountRegistry {
     /// depth), then the tree-DP (bounded treewidth), then brute force.
     pub fn standard() -> CountRegistry {
         CountRegistry {
-            solvers: vec![
-                Box::new(ForestCountSolver),
-                Box::new(TreeDecCountSolver),
-                Box::new(BruteForceCountSolver),
+            tiers: vec![
+                CountMethod::ForestSumProduct,
+                CountMethod::TreeDecompositionDp,
+                CountMethod::BruteForce,
             ],
         }
     }
 
-    /// A registry with an explicit solver list (full control for
-    /// ablations).
-    pub fn new(solvers: Vec<Box<dyn CountSolver>>) -> CountRegistry {
-        CountRegistry { solvers }
-    }
-
-    /// This registry minus every solver reporting the given method — the
-    /// counting analogue of the E12 ablation edit.
+    /// This registry minus the given tier — the counting analogue of the
+    /// E12 ablation edit.
     pub fn without(mut self, method: CountMethod) -> CountRegistry {
-        self.solvers.retain(|s| s.method() != method);
+        self.tiers.retain(|&t| t != method);
         self
     }
 
-    /// Append a solver at the lowest priority.
-    pub fn push(&mut self, solver: Box<dyn CountSolver>) {
-        self.solvers.push(solver);
+    /// The first tier admitting the query, in priority order.
+    pub fn select(&self, query: &PreparedQuery, config: &EngineConfig) -> Option<CountMethod> {
+        self.tiers.iter().copied().find(|t| t.admits(query, config))
     }
 
-    /// The first solver admitting the query, in priority order.
-    pub fn select(&self, query: &PreparedQuery, config: &EngineConfig) -> Option<&dyn CountSolver> {
-        self.solvers
-            .iter()
-            .map(|s| s.as_ref())
-            .find(|s| s.admits(query, config))
-    }
-
-    /// The solvers in priority order (names are stable bench labels).
-    pub fn solvers(&self) -> impl Iterator<Item = &dyn CountSolver> {
-        self.solvers.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of registered solvers.
-    pub fn len(&self) -> usize {
-        self.solvers.len()
-    }
-
-    /// Whether the registry is empty (no solver will ever be selected).
-    pub fn is_empty(&self) -> bool {
-        self.solvers.is_empty()
-    }
-}
-
-impl std::fmt::Debug for CountRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.solvers.iter().map(|s| s.name()))
-            .finish()
+    /// The tiers in priority order.
+    pub fn tiers(&self) -> &[CountMethod] {
+        &self.tiers
     }
 }
 
@@ -384,6 +333,7 @@ mod tests {
     fn standard_registry_selects_in_priority_order() {
         let cfg = EngineConfig::default();
         let registry = CountRegistry::standard();
+        assert_eq!(registry.tiers().len(), 3);
         let cases = [
             (families::star(5), CountMethod::ForestSumProduct),
             // P9 cores to an edge, but counting keys on the original: tree
@@ -395,7 +345,7 @@ mod tests {
         for (a, expected) in cases {
             let q = prepared(&a);
             let s = registry.select(&q, &cfg).expect("fallback admits");
-            assert_eq!(s.method(), expected, "{a}");
+            assert_eq!(s, expected, "{a}");
         }
     }
 
@@ -403,37 +353,27 @@ mod tests {
     fn without_removes_a_tier_and_dispatch_falls_through() {
         let cfg = EngineConfig::default();
         let registry = CountRegistry::standard().without(CountMethod::ForestSumProduct);
-        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.tiers().len(), 2);
         let q = prepared(&families::star(5));
         let s = registry.select(&q, &cfg).expect("fallback admits");
-        assert_eq!(s.method(), CountMethod::TreeDecompositionDp);
-    }
-
-    #[test]
-    fn empty_registry_selects_nothing() {
-        let cfg = EngineConfig::default();
-        let registry = CountRegistry::new(Vec::new());
-        assert!(registry.is_empty());
-        let q = prepared(&families::star(3));
-        assert!(registry.select(&q, &cfg).is_none());
+        assert_eq!(s, CountMethod::TreeDecompositionDp);
     }
 
     #[test]
     fn all_registry_solvers_agree_with_the_reference() {
         let registry = CountRegistry::standard();
-        // Queries every solver admits, including one with a proper core
+        // Queries every tier admits, including one with a proper core
         // (P4): the counts must be those of the original structure.
         for a in [families::star(3), families::path(4)] {
             let q = prepared(&a);
             for b in [families::clique(3), families::cycle(6), families::path(4)] {
                 let expected = count_homomorphisms_bruteforce(&a, &b);
                 let index = StructureIndex::new(&b);
-                for s in registry.solvers() {
+                for &s in registry.tiers() {
                     assert_eq!(
                         s.count(&q, &b, &index).outcome,
                         expected,
-                        "{} on {a} -> {b}",
-                        s.name()
+                        "{s:?} on {a} -> {b}"
                     );
                 }
             }

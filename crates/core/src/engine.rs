@@ -3,9 +3,10 @@
 //!
 //! The dispatch machinery itself lives in the sibling modules:
 //! [`crate::prepared`] (the once-per-query [`crate::PreparedQuery`]
-//! artifact), [`crate::registry`] (the [`crate::HomSolver`] trait and the
-//! priority-ordered solver registry) and [`crate::service`] (the
-//! plan-caching [`crate::Engine`] with the batch API).  [`solve_instance`]
+//! artifact), [`crate::registry`] (the [`SolverChoice`] tiers in priority
+//! order — [`crate::counting`] holds the counting twin) and
+//! [`crate::service`] (the plan-caching [`crate::Engine`] with the batch
+//! API).  [`solve_instance`]
 //! is the historical one-shot API, now a thin wrapper that builds a
 //! throwaway [`crate::Engine`] — callers with repeated queries should hold
 //! an [`crate::Engine`] and use [`crate::Engine::solve`] /
@@ -13,19 +14,21 @@
 
 use crate::service::Engine;
 use crate::Degree;
+use cq_decomp::WidthProfile;
 use cq_solver::backtrack::BacktrackConfig;
 use cq_structures::Structure;
 
 /// Which algorithm the engine picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Tree-depth sentence evaluation (para-L algorithm, Lemma 3.3).
+    /// Tree-depth evaluation (para-L algorithm, Lemma 3.3): the kernel
+    /// sum–product recursion over the elimination forest.
     TreeDepth,
     /// Path-decomposition sweep (PATH algorithm, Theorem 4.6).
     PathDecomposition,
     /// Tree-decomposition dynamic programming (TREE algorithm).
     TreeDecomposition,
-    /// Plain backtracking with propagation (no structural guarantee).
+    /// Whole-query kernel search (no structural guarantee).
     Backtracking,
 }
 
@@ -48,16 +51,15 @@ pub struct EngineConfig {
     /// path.  Results are returned in input order and are identical for
     /// every worker count.
     pub workers: usize,
-    /// Configuration of the backtracking fallback.
-    ///
-    /// The engine's fallback is the flat-kernel whole-query search, whose
-    /// unary/incidence prefilter is always on and subsumes the unary half
-    /// of arc consistency — so of these knobs only `fail_first_ordering`
-    /// changes engine behaviour.  The AC knobs
-    /// (`preprocess_arc_consistency`, `maintain_arc_consistency`) still
-    /// drive the retained reference search
+    /// Configuration of the reference search
     /// ([`cq_solver::backtrack::BacktrackSolver`]), which the E12 ablation
     /// bench exercises directly.
+    ///
+    /// No knob here changes engine behaviour: the engine's fallback tier is
+    /// the flat-kernel whole-query search, always in fail-first order, whose
+    /// unary/incidence prefilter is always on and subsumes the unary half
+    /// of arc consistency.  The field stays because the plan-store codec
+    /// persists the configuration and benchmark drivers read it.
     pub backtrack: BacktrackConfig,
 }
 
@@ -89,6 +91,18 @@ impl EngineConfig {
             && self.treedepth_threshold == other.treedepth_threshold
             && self.pathwidth_threshold == other.pathwidth_threshold
             && self.treewidth_threshold == other.treewidth_threshold
+    }
+
+    /// The degree a single query with these widths would contribute to a
+    /// class classification, judged against this configuration's
+    /// thresholds — core widths for decision, the query's own widths for
+    /// counting, aggregates and answers.
+    pub fn degree_hint(&self, widths: WidthProfile) -> Degree {
+        Degree::from_boundedness(
+            widths.treewidth <= self.treewidth_threshold,
+            widths.pathwidth <= self.pathwidth_threshold,
+            widths.treedepth <= self.treedepth_threshold,
+        )
     }
 }
 

@@ -24,13 +24,15 @@
 //!   against many databases" layer:
 //!   - [`prepared`] / [`PreparedQuery`] — the once-per-query artifact (core,
 //!     Gaifman graph, width profile **with** decomposition certificates);
-//!   - [`registry`] / [`HomSolver`] — the solver trait and the
-//!     priority-ordered registry (tree-depth sentence evaluation /
-//!     path-decomposition sweep / tree-decomposition DP / backtracking),
-//!     where ablations (experiment E12) are registry edits;
-//!   - [`counting`] / [`CountSolver`] — the Theorem 6.1 counting analogue:
-//!     a priority-ordered [`CountRegistry`] (elimination-forest sum–product
-//!     / tree-decomposition counting DP / brute force) dispatching on the
+//!   - [`registry`] / [`SolverRegistry`] — decision dispatch: the
+//!     [`SolverChoice`] tiers (tree-depth forest evaluation /
+//!     path-decomposition sweep / tree-decomposition DP / whole-query
+//!     search) in priority order, each with [`SolverChoice::admits`] and
+//!     [`SolverChoice::solve`], keyed on the core's widths; ablations
+//!     (experiment E12) are registry edits;
+//!   - [`counting`] / [`CountRegistry`] — the Theorem 6.1 counting
+//!     analogue: the [`CountMethod`] tiers (elimination-forest sum–product
+//!     / tree-decomposition DP / brute force) dispatching on the
 //!     **original** query's widths, because counting — unlike decision —
 //!     is not invariant under taking cores;
 //!   - [`answers`] — free-variable answers: [`Engine::count_answers`]
@@ -38,11 +40,11 @@
 //!     free variables, and [`Engine::answers`] enumerates them in pages
 //!     with bounded delay through the free-adjoined decomposition DP of
 //!     [`cq_solver::kernel::AnswerProgram`];
-//!   - [`aggregates`] / [`AggregateSolver`] — the weighted generalization:
-//!     min-cost / max-weight homomorphisms through the same kernel DPs
-//!     instantiated at the tropical semirings ([`Engine::evaluate_min_cost`],
-//!     [`Engine::evaluate_max_weight`]), sharing counting's structural
-//!     licences and compiled programs;
+//!   - [`aggregates`] — the weighted generalization: min-cost / max-weight
+//!     homomorphisms through the same kernel DPs instantiated at the
+//!     tropical semirings ([`Engine::evaluate_min_cost`],
+//!     [`Engine::evaluate_max_weight`]), dispatched over the counting tiers
+//!     ([`CountMethod::evaluate`]) and sharing their compiled programs;
 //!   - [`service`] / [`Engine`] — the sharded LRU plan cache keyed by an
 //!     isomorphism-invariant query fingerprint (single-flight preparation
 //!     under concurrent misses), the parallel batch evaluation APIs
@@ -72,24 +74,17 @@ use cq_decomp::{width_profile, WidthProfile};
 use cq_graphs::gaifman_graph;
 use cq_structures::{core_of, Structure};
 
-pub use aggregates::{
-    AggregateObjective, AggregateRegistry, AggregateReport, AggregateSolver, ForestAggregateSolver,
-    SearchAggregateSolver, TreeDecAggregateSolver,
-};
+pub use aggregates::{AggregateObjective, AggregateReport};
 pub use answers::{AnswerCountReport, AnswerMethod, AnswerPage};
 pub use counting::{
-    count_instance, BruteForceCountSolver, CountEvaluation, CountMethod, CountOutcome,
-    CountRegistry, CountReport, CountSolver, ForestCountSolver, TreeDecCountSolver,
+    count_instance, CountEvaluation, CountMethod, CountOutcome, CountRegistry, CountReport,
 };
 pub use engine::{solve_instance, EngineConfig, EngineReport, SolverChoice};
 pub use persist::{
     PersistError, PlanStore, StoredPlan, WarmStartSummary, PLAN_STORE_MAGIC, PLAN_STORE_VERSION,
 };
 pub use prepared::PreparedQuery;
-pub use registry::{
-    BacktrackSolver, HomSolver, PathDpSolver, SolveOutcome, SolverRegistry, TreeDecSolver,
-    TreeDepthSolver,
-};
+pub use registry::{SolveOutcome, SolverRegistry};
 pub use service::{
     CacheStats, DeltaReport, Engine, IndexStats, PrepStats, QueryId, DEFAULT_CACHE_SHARDS,
     DEFAULT_INDEX_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_CAPACITY,

@@ -6,8 +6,8 @@
 //! computation (Theorem 3.1 classifies by cores), the Gaifman graph, and the
 //! single-pass structural analysis of [`cq_decomp::analyze`] — the three
 //! width measures **with** their certificates (elimination forest, path
-//! decomposition, tree decomposition).  The solvers of the registry consume
-//! those certificates directly, so nothing exponential in the query runs
+//! decomposition, tree decomposition).  The engine's evaluation tiers
+//! consume those certificates directly, so nothing exponential in the query runs
 //! again at evaluation time; the regression tests assert this through the
 //! call counters of [`cq_decomp::stats`] and
 //! [`cq_structures::core_computation_count`].
@@ -15,19 +15,23 @@
 //! Three derived per-query artifacts are materialized lazily on first use
 //! and then shared by every subsequent evaluation:
 //!
-//! * the Lemma 3.3 `{∧,∃}`-sentence (tree-depth solver), compiled from the
-//!   elimination-forest certificate;
+//! * the Lemma 3.3 `{∧,∃}`-sentence (the differential oracle's tree-depth
+//!   reference), compiled from the elimination-forest certificate;
 //! * the staircase normal form of the path decomposition (path-sweep
-//!   solver);
+//!   tier);
 //! * the **counting certificates**: the structural analysis of the
 //!   *original* query.  Counting is **not** invariant under taking cores
 //!   (a query and its core have the same decision answer but different
-//!   homomorphism counts), so the counting solvers of
+//!   homomorphism counts), so the counting tiers of
 //!   [`crate::counting::CountRegistry`] must run on the query exactly as
 //!   submitted — with certificates of *its* Gaifman graph, not the core's.
 //!   When the evaluated structure already equals the original (core
 //!   preprocessing disabled, or the query is its own core) the decision
 //!   certificates are reused and no extra width DP ever runs.
+//!
+//! Compiled kernel programs are cached per database index: one program per
+//! (program kind, side) — forest, staircase, tree DP and whole-query
+//! search, over the evaluated or the original structure.
 
 use crate::engine::EngineConfig;
 use crate::Degree;
@@ -36,14 +40,13 @@ use cq_graphs::{gaifman_graph, Graph};
 use cq_logic::canonical::query_fingerprint;
 use cq_logic::treedepth_sentence::{corresponding_sentence_with_forest, TreeDepthSentence};
 use cq_solver::kernel::{
-    AnswerProgram, ForestProgram, ForestRun, KernelSearchStats, SearchProgram, StairProgram,
-    TreeDpProgram, TreeDpRun, TreeIncrementalState,
+    AnswerProgram, ForestProgram, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun,
+    TreeIncrementalState,
 };
-use cq_solver::{BoolSemiring, CheckedNatSemiring, Nat, PathDpReport, Semiring};
+use cq_solver::{BoolSemiring, CheckedNatSemiring, Nat, Semiring};
 use cq_structures::codec::{encode_option_ref, Decode, DecodeError, Encode, Reader};
 use cq_structures::{
     core_of, embedding_exists, homomorphism_exists, Element, Structure, StructureIndex,
-    TupleWeights,
 };
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -65,18 +68,31 @@ const MAX_KERNEL_BUNDLES: usize = 8;
 /// overflow ones.
 const MAX_ANSWER_PROGRAMS: usize = 4;
 
-/// The compiled kernel programs of one `(plan, database index)` pair, each
-/// slot materialized on first use by the corresponding solver entry point
-/// and reused by every later evaluation against the same index (bundles
-/// are keyed by `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)`
-/// — compiled programs bake per-position prefilter domains, which stay
-/// sound supersets across in-place deltas *within* an epoch but must be
+/// Which of a plan's two structures a compiled program evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// The evaluated structure (the core under `use_core`) with the
+    /// decision certificates.
+    Evaluated = 0,
+    /// The query as submitted with the counting certificates — counts,
+    /// aggregates and answers are not core-invariant.
+    Original = 1,
+}
+
+/// The compiled kernel programs of one `(plan, database index)` pair: one
+/// slot per (program kind, [`Side`]), materialized on first use and reused
+/// by every later evaluation against the same index (bundles are keyed by
+/// `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)` —
+/// compiled programs bake per-position prefilter domains, which stay sound
+/// supersets across in-place deltas *within* an epoch but must be
 /// recompiled when a delta grows a domain and bumps the epoch).
 ///
 /// Decision programs compile the **evaluated** structure with the decision
-/// certificates; counting programs compile the **original** with the
-/// counting certificates — counting is not core-invariant, so the two
-/// families never share a program even when both are warm.
+/// certificates; counting, aggregate and answer programs compile the
+/// **original** with the counting certificates — counting is not
+/// core-invariant, so the two sides never share a program even when both
+/// are warm.  Compiled programs are semiring-agnostic: aggregates run the
+/// counting programs with per-call weights.
 ///
 /// The two `*_retained` slots carry the incremental DP join tables of
 /// [`TreeDpProgram::eval_retained`]: after [`crate::Engine::apply_delta`]
@@ -86,14 +102,11 @@ const MAX_ANSWER_PROGRAMS: usize = 4;
 /// wait-free: a contended caller falls back to a plain stateless pass.
 #[derive(Default)]
 struct IndexKernels {
-    tree_decide: OnceLock<TreeDpProgram>,
-    stair: OnceLock<StairProgram>,
-    forest_decide: OnceLock<ForestProgram>,
-    search_fail_first: OnceLock<SearchProgram>,
-    search_plain: OnceLock<SearchProgram>,
-    tree_count: OnceLock<TreeDpProgram>,
-    forest_count: OnceLock<ForestProgram>,
-    search_original: OnceLock<SearchProgram>,
+    forest: [OnceLock<Arc<ForestProgram>>; 2],
+    tree: [OnceLock<Arc<TreeDpProgram>>; 2],
+    search: [OnceLock<Arc<SearchProgram>>; 2],
+    /// Path sweeps are a decision tier only: evaluated side.
+    stair: OnceLock<Arc<StairProgram>>,
     /// Decision stays on [`bool`] deliberately: `CheckedNat` would make
     /// deltas patchable (⊖ exists), but it prices every *recomputed* bag
     /// at full counting arithmetic — measurably slower than Bool's
@@ -112,34 +125,15 @@ struct IndexKernels {
 
 impl std::fmt::Debug for IndexKernels {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fn compiled<P>(slots: &[OnceLock<Arc<P>>]) -> Vec<bool> {
+            slots.iter().map(|slot| slot.get().is_some()).collect()
+        }
         f.debug_struct("IndexKernels")
-            .field("tree_decide", &self.tree_decide.get().is_some())
+            .field("forest", &compiled(&self.forest))
+            .field("tree", &compiled(&self.tree))
+            .field("search", &compiled(&self.search))
             .field("stair", &self.stair.get().is_some())
-            .field("forest_decide", &self.forest_decide.get().is_some())
-            .field("search_fail_first", &self.search_fail_first.get().is_some())
-            .field("search_plain", &self.search_plain.get().is_some())
-            .field("tree_count", &self.tree_count.get().is_some())
-            .field("forest_count", &self.forest_count.get().is_some())
-            .field("search_original", &self.search_original.get().is_some())
-            .field(
-                "tree_decide_retained",
-                &self
-                    .tree_decide_retained
-                    .try_lock()
-                    .is_ok_and(|s| s.is_some()),
-            )
-            .field(
-                "tree_count_retained",
-                &self
-                    .tree_count_retained
-                    .try_lock()
-                    .is_ok_and(|s| s.is_some()),
-            )
-            .field(
-                "answers",
-                &self.answers.try_lock().map(|a| a.len()).unwrap_or(0),
-            )
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -212,12 +206,7 @@ impl PreparedQuery {
         };
         let gaifman = gaifman_graph(&evaluated);
         let analysis = cq_decomp::analyze(&gaifman);
-        let widths = analysis.widths;
-        let degree_hint = Degree::from_boundedness(
-            widths.treewidth <= config.treewidth_threshold,
-            widths.pathwidth <= config.pathwidth_threshold,
-            widths.treedepth <= config.treedepth_threshold,
-        );
+        let degree_hint = config.degree_hint(analysis.widths);
         PreparedQuery {
             fingerprint,
             original: a.clone(),
@@ -381,113 +370,122 @@ impl PreparedQuery {
         bundle
     }
 
-    /// Decide through the kernel forest evaluation (tree-depth tier),
-    /// compiling the [`ForestProgram`] of the evaluated structure on first
-    /// use against this index and reusing it afterwards.
-    pub fn decide_via_forest(&self, index: &StructureIndex) -> ForestRun {
-        self.kernels_for(index)
-            .forest_decide
-            .get_or_init(|| {
-                ForestProgram::compile(&self.evaluated, index, &self.analysis.elimination_forest)
-            })
-            .decide(index)
-    }
-
-    /// Decide through the kernel staircase sweep (pathwidth tier),
-    /// compiling the [`StairProgram`] on first use against this index.
-    pub fn decide_via_staircase(&self, index: &StructureIndex) -> PathDpReport {
-        self.kernels_for(index)
-            .stair
-            .get_or_init(|| StairProgram::compile(&self.evaluated, index, self.staircase()))
-            .run(index)
-    }
-
-    /// Decide through the kernel tree DP (treewidth tier), compiling the
-    /// [`TreeDpProgram`] on first use against this index.
-    ///
-    /// Evaluation is **retained**: the per-edge DP join tables of the last
-    /// run stay on the bundle, so after an in-place
-    /// [`crate::Engine::apply_delta`] only the bags whose constraints
-    /// mention a touched relation re-run (Bool is not invertible, so dirty
-    /// bags recompute rather than patch — see the bundle field docs for
-    /// why that beats a `CheckedNat` decide state).  A concurrent
-    /// evaluation holding the retained state falls back to a plain
-    /// stateless pass.
-    pub fn decide_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
-        let kernels = self.kernels_for(index);
-        let program = kernels.tree_decide.get_or_init(|| {
-            TreeDpProgram::compile(&self.evaluated, index, &self.analysis.tree_decomposition)
-        });
-        if let Ok(mut state) = kernels.tree_decide_retained.try_lock() {
-            let (exists, stats) = program.eval_retained::<BoolSemiring>(index, &mut state);
-            return TreeDpRun {
-                exists,
-                count: Nat::Finite(u64::from(exists)),
-                peak_table: stats.peak_table,
-            };
+    /// The structure and certificates programs for `side` compile.
+    fn side(&self, side: Side) -> (&Structure, &StructuralAnalysis) {
+        match side {
+            Side::Evaluated => (&self.evaluated, &self.analysis),
+            Side::Original => (&self.original, self.counting_analysis()),
         }
-        program.decide(index)
     }
 
-    /// Search for a witness through the kernel whole-query program (the
-    /// structure-agnostic fallback), compiling one [`SearchProgram`] per
-    /// ordering strategy on first use against this index.
-    pub fn search(
+    /// The kernel forest evaluation (tree-depth tiers) of `side`, compiled
+    /// on first use against `index` and reused afterwards (as are the
+    /// programs of the lookups below).
+    pub(crate) fn forest(&self, index: &StructureIndex, side: Side) -> Arc<ForestProgram> {
+        let kernels = self.kernels_for(index);
+        Arc::clone(kernels.forest[side as usize].get_or_init(|| {
+            let (a, certificates) = self.side(side);
+            Arc::new(ForestProgram::compile(
+                a,
+                index,
+                &certificates.elimination_forest,
+            ))
+        }))
+    }
+
+    /// The kernel tree DP (treewidth tiers) of `side`.
+    pub(crate) fn tree(&self, index: &StructureIndex, side: Side) -> Arc<TreeDpProgram> {
+        self.tree_in(&self.kernels_for(index), index, side)
+    }
+
+    fn tree_in(
+        &self,
+        kernels: &IndexKernels,
+        index: &StructureIndex,
+        side: Side,
+    ) -> Arc<TreeDpProgram> {
+        Arc::clone(kernels.tree[side as usize].get_or_init(|| {
+            let (a, certificates) = self.side(side);
+            Arc::new(TreeDpProgram::compile(
+                a,
+                index,
+                &certificates.tree_decomposition,
+            ))
+        }))
+    }
+
+    /// The kernel whole-query search of `side` in fail-first order (the
+    /// structure-agnostic fallback tiers).
+    pub(crate) fn search(&self, index: &StructureIndex, side: Side) -> Arc<SearchProgram> {
+        let kernels = self.kernels_for(index);
+        Arc::clone(
+            kernels.search[side as usize]
+                .get_or_init(|| Arc::new(SearchProgram::compile(self.side(side).0, index, true))),
+        )
+    }
+
+    /// The kernel staircase sweep (pathwidth tier) of the evaluated
+    /// structure.
+    pub(crate) fn stair(&self, index: &StructureIndex) -> Arc<StairProgram> {
+        let kernels = self.kernels_for(index);
+        Arc::clone(kernels.stair.get_or_init(|| {
+            Arc::new(StairProgram::compile(
+                &self.evaluated,
+                index,
+                self.staircase(),
+            ))
+        }))
+    }
+
+    /// The tree DP of `side`, evaluated **retained**: the per-edge DP join
+    /// tables of the last run stay in `state`'s slot of the bundle, so
+    /// after an in-place [`crate::Engine::apply_delta`] only the bags whose
+    /// constraints mention a touched relation re-run.  A concurrent
+    /// evaluation holding the retained state falls back to a plain
+    /// stateless pass.  Returns the aggregate and the peak table.
+    fn tree_retained<S: Semiring>(
         &self,
         index: &StructureIndex,
-        fail_first: bool,
-    ) -> (Option<Vec<Element>>, KernelSearchStats) {
+        side: Side,
+        state: impl FnOnce(&IndexKernels) -> &Mutex<Option<TreeIncrementalState<S::Value>>>,
+    ) -> (S::Value, usize) {
         let kernels = self.kernels_for(index);
-        let slot = if fail_first {
-            &kernels.search_fail_first
-        } else {
-            &kernels.search_plain
-        };
-        slot.get_or_init(|| SearchProgram::compile(&self.evaluated, index, fail_first))
-            .run(index)
-    }
-
-    /// Count through the kernel forest sum–product (Theorem 6.1 (3)),
-    /// compiling the [`ForestProgram`] of the **original** structure with
-    /// the counting certificates on first use against this index.
-    pub fn count_via_forest(&self, index: &StructureIndex) -> ForestRun {
-        self.kernels_for(index)
-            .forest_count
-            .get_or_init(|| {
-                ForestProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().elimination_forest,
-                )
-            })
-            .count(index)
-    }
-
-    /// Count through the kernel tree DP, compiling the [`TreeDpProgram`]
-    /// of the **original** structure with the counting certificates on
-    /// first use against this index.
-    ///
-    /// Retained like [`Self::decide_via_tree`]; counts additionally get the
-    /// subtractive fast path (`CheckedNat` is invertible, so a small delta
-    /// patches group sums by ⊖/⊕ instead of re-enumerating the bag).
-    pub fn count_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
-        let kernels = self.kernels_for(index);
-        let program = kernels.tree_count.get_or_init(|| {
-            TreeDpProgram::compile(
-                &self.original,
-                index,
-                &self.counting_analysis().tree_decomposition,
-            )
-        });
-        if let Ok(mut state) = kernels.tree_count_retained.try_lock() {
-            let (count, stats) = program.eval_retained::<CheckedNatSemiring>(index, &mut state);
-            return TreeDpRun {
-                exists: count.positive(),
-                count,
-                peak_table: stats.peak_table,
-            };
+        let program = self.tree_in(&kernels, index, side);
+        if let Ok(mut state) = state(&kernels).try_lock() {
+            let (value, stats) = program.eval_retained::<S>(index, &mut state);
+            return (value, stats.peak_table);
         }
-        program.count(index)
+        program.eval::<S>(index, None)
+    }
+
+    /// Decide through the retained kernel tree DP (treewidth tier) of the
+    /// evaluated structure.  Bool is not invertible, so dirty bags
+    /// recompute rather than patch — see the bundle field docs for why
+    /// that beats a `CheckedNat` decide state.
+    pub fn decide_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
+        let (exists, peak_table) =
+            self.tree_retained::<BoolSemiring>(index, Side::Evaluated, |k| &k.tree_decide_retained);
+        TreeDpRun {
+            exists,
+            count: Nat::Finite(u64::from(exists)),
+            peak_table,
+        }
+    }
+
+    /// Count through the retained kernel tree DP of the **original**
+    /// structure with the counting certificates.  Counts additionally get
+    /// the subtractive fast path (`CheckedNat` is invertible, so a small
+    /// delta patches group sums by ⊖/⊕ instead of re-enumerating the bag).
+    pub fn count_via_tree(&self, index: &StructureIndex) -> TreeDpRun {
+        let (count, peak_table) =
+            self.tree_retained::<CheckedNatSemiring>(index, Side::Original, |k| {
+                &k.tree_count_retained
+            });
+        TreeDpRun {
+            exists: count.positive(),
+            count,
+            peak_table,
+        }
     }
 
     /// The compiled [`AnswerProgram`] for one free-element list against one
@@ -523,67 +521,6 @@ impl PreparedQuery {
         }
         cache.push((free.to_vec(), Arc::clone(&program)));
         program
-    }
-
-    /// Weighted ⊕-aggregate (min-cost, max-weight, …) through the kernel
-    /// forest sum–product.  Aggregates, like counts, are **not**
-    /// core-invariant, so this reuses the semiring-agnostic
-    /// `forest_count` program — compiled from the **original** structure
-    /// with the counting certificates — and only the weights change per
-    /// call.
-    pub fn aggregate_via_forest<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> S::Value {
-        let mut assignments = 0u64;
-        self.kernels_for(index)
-            .forest_count
-            .get_or_init(|| {
-                ForestProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().elimination_forest,
-                )
-            })
-            .eval::<S>(index, Some(weights), &mut assignments)
-    }
-
-    /// Weighted ⊕-aggregate through the kernel tree DP, reusing the
-    /// `tree_count` program (original structure, counting certificates) —
-    /// see [`Self::aggregate_via_forest`] for why aggregates share the
-    /// counting programs, never the decision ones.
-    pub fn aggregate_via_tree<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> S::Value {
-        self.kernels_for(index)
-            .tree_count
-            .get_or_init(|| {
-                TreeDpProgram::compile(
-                    &self.original,
-                    index,
-                    &self.counting_analysis().tree_decomposition,
-                )
-            })
-            .eval::<S>(index, Some(weights))
-            .0
-    }
-
-    /// Weighted ⊕-aggregate through an exhaustive kernel search over the
-    /// **original** structure — the structure-agnostic fallback tier.  The
-    /// decision `search` slots compile the evaluated (core) structure and
-    /// cannot be reused here, so this keeps its own compiled program slot.
-    pub fn aggregate_via_search<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: &TupleWeights,
-    ) -> (S::Value, KernelSearchStats) {
-        self.kernels_for(index)
-            .search_original
-            .get_or_init(|| SearchProgram::compile(&self.original, index, true))
-            .aggregate::<S>(index, Some(weights))
     }
 
     /// Whether this plan answers queries for `candidate`: true when
@@ -743,12 +680,7 @@ impl PreparedQuery {
         }
         Self::verify_analysis(&self.analysis, &self.gaifman)?;
         let widths = self.analysis.widths;
-        let expected_degree = Degree::from_boundedness(
-            widths.treewidth <= config.treewidth_threshold,
-            widths.pathwidth <= config.pathwidth_threshold,
-            widths.treedepth <= config.treedepth_threshold,
-        );
-        if self.degree_hint != expected_degree {
+        if self.degree_hint != config.degree_hint(widths) {
             return Err("degree hint inconsistent with the widths and thresholds");
         }
         if let Some(sentence) = self.sentence.get() {
@@ -935,12 +867,13 @@ mod tests {
         let q = PreparedQuery::prepare(&a, &EngineConfig::default());
         let warm = |i: &StructureIndex| {
             q.decide_via_tree(i);
-            q.decide_via_forest(i);
-            q.decide_via_staircase(i);
-            q.search(i, true);
-            q.search(i, false);
             q.count_via_tree(i);
-            q.count_via_forest(i);
+            q.stair(i);
+            for side in [Side::Evaluated, Side::Original] {
+                q.forest(i, side);
+                q.tree(i, side);
+                q.search(i, side);
+            }
         };
         let bundle_of = |i: &StructureIndex| -> Arc<IndexKernels> {
             let cache = q.kernels.lock().unwrap();
@@ -956,39 +889,37 @@ mod tests {
         // Correctness of the cached programs.
         assert!(q.decide_via_tree(&index).exists);
         assert_eq!(
-            q.count_via_forest(&index).count,
+            q.forest(&index, Side::Original).count(&index).count,
             cq_structures::count_homomorphisms_bruteforce(&a, &k3)
-        );
-        // Weighted aggregates reuse the counting programs (same bundle,
-        // weights supplied at run time): uniform weight 1 makes the minimum
-        // cost the number of query tuples, on every tier.
-        let weights = TupleWeights::uniform(&k3, 1);
-        let expected_cost = Some(a.tuple_count() as u64);
-        assert_eq!(
-            q.aggregate_via_forest::<cq_solver::MinCostSemiring>(&index, &weights),
-            expected_cost
-        );
-        assert_eq!(
-            q.aggregate_via_tree::<cq_solver::MinCostSemiring>(&index, &weights),
-            expected_cost
-        );
-        assert_eq!(
-            q.aggregate_via_search::<cq_solver::MinCostSemiring>(&index, &weights)
-                .0,
-            expected_cost
         );
         // One fully populated bundle for this index; `OnceLock` slots can
         // only initialize once, so bundle identity across repeat traffic
         // proves no program was recompiled.
         let bundle = bundle_of(&index);
-        assert!(bundle.tree_decide.get().is_some());
         assert!(bundle.stair.get().is_some());
-        assert!(bundle.forest_decide.get().is_some());
-        assert!(bundle.search_fail_first.get().is_some());
-        assert!(bundle.search_plain.get().is_some());
-        assert!(bundle.tree_count.get().is_some());
-        assert!(bundle.forest_count.get().is_some());
-        assert!(bundle.search_original.get().is_some());
+        for side in [Side::Evaluated, Side::Original] {
+            assert!(bundle.forest[side as usize].get().is_some());
+            assert!(bundle.tree[side as usize].get().is_some());
+            assert!(bundle.search[side as usize].get().is_some());
+        }
+        // Weighted aggregates reuse the counting programs (same bundle,
+        // weights supplied at run time): uniform weight 1 makes the minimum
+        // cost the number of query tuples, on every tier.
+        let weights = cq_structures::TupleWeights::uniform(&k3, 1);
+        let before = cq_solver::program_compilation_count();
+        for tier in crate::CountRegistry::standard().tiers() {
+            assert_eq!(
+                tier.evaluate(
+                    &q,
+                    &k3,
+                    &index,
+                    &weights,
+                    crate::AggregateObjective::MinCost
+                ),
+                Some(a.tuple_count() as u64)
+            );
+        }
+        assert_eq!(cq_solver::program_compilation_count(), before);
         warm(&index);
         assert!(Arc::ptr_eq(&bundle, &bundle_of(&index)));
         // A different database index gets its own bundle; both stay warm

@@ -1,287 +1,142 @@
-//! The [`HomSolver`] trait and the priority-ordered solver registry.
+//! Decision dispatch: the [`SolverChoice`] tiers in priority order.
 //!
 //! The Classification Theorem licenses a per-query algorithm choice: the
 //! para-L tree-depth evaluation when the (core's) tree depth is bounded, the
 //! PATH sweep when the pathwidth is bounded, the TREE dynamic program when
 //! the treewidth is bounded, and plain backtracking otherwise.  Instead of a
-//! hard-coded `if`/`else` chain, the engine walks a priority-ordered list of
-//! [`HomSolver`]s and dispatches to the first whose [`HomSolver::admits`]
-//! accepts the prepared query — so ablation experiments (E12) are registry
-//! edits ([`SolverRegistry::without`], [`SolverRegistry::new`]) rather than
-//! code forks.
+//! hard-coded `if`/`else` chain, the engine walks a priority-ordered
+//! [`SolverRegistry`] of tiers and dispatches to the first whose
+//! [`SolverChoice::admits`] accepts the prepared query — so ablation
+//! experiments (E12) are registry edits ([`SolverRegistry::without`])
+//! rather than code forks.
 //!
-//! Every solver consumes the *certificates* carried by the
-//! [`PreparedQuery`] (elimination forest, staircase decomposition, tree
-//! decomposition) plus the **instance index** of the database
-//! ([`StructureIndex`], built once per database and cached by the engine)
-//! and runs the flat evaluation kernel of [`cq_solver::kernel`] — compiled
-//! bag programs, prefilter domains, separator hash-joins — through the
-//! plan's per-index program cache ([`PreparedQuery::decide_via_tree`] and
-//! friends), so a warm `(plan, database)` pair recompiles nothing.  The reference
-//! implementations (`cq_solver::treedec`, `cq_solver::pathdp`, the raw
-//! backtracking searches) are retained as the oracle of the differential
-//! tests, not dispatched here.
+//! Every tier consumes the *certificates* carried by the [`PreparedQuery`]
+//! (elimination forest, staircase decomposition, tree decomposition) plus
+//! the **instance index** of the database ([`StructureIndex`], built once
+//! per database and cached by the engine) and runs the flat evaluation
+//! kernel of [`cq_solver::kernel`] through the plan's per-index program
+//! cache, so a warm `(plan, database)` pair recompiles nothing.  The
+//! reference implementations (`cq_solver::treedec`, `cq_solver::pathdp`,
+//! the raw backtracking searches) are retained as the oracle of the
+//! differential tests, not dispatched here.
+//!
+//! Counting and weighted aggregates dispatch the same way over
+//! [`crate::CountMethod`] tiers, keyed on the original query's widths
+//! ([`crate::CountRegistry`]).
 
 use crate::engine::{EngineConfig, SolverChoice};
-use crate::prepared::PreparedQuery;
-use cq_solver::backtrack::BacktrackConfig;
+use crate::prepared::{PreparedQuery, Side};
 use cq_structures::{Structure, StructureIndex};
 
-/// What one solver invocation produced.
+/// What one tier evaluation produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveOutcome {
     /// Whether a homomorphism exists.
     pub exists: bool,
-    /// A solver-specific work/space figure for the experiment reports:
+    /// A tier-specific work/space figure for the experiment reports:
     /// candidate assignments for the forest evaluation and the backtracking
     /// search, peak frontier size for the path sweep, peak viable-row table
-    /// for the tree DP.  `None` when the solver reports nothing.
+    /// for the tree DP.  `None` when the tier reports nothing.
     pub work: Option<u64>,
 }
 
-/// One evaluation algorithm in the registry.
-///
-/// Implementations must be cheap to consult: `admits` reads the prepared
-/// query's cached width profile, and `solve` runs against the prepared
-/// certificates and the database's cached [`StructureIndex`] — all
-/// exponential-in-the-query work belongs to preparation, and all
-/// per-database index building to the engine's instance-index cache, not
-/// here.
-pub trait HomSolver: Send + Sync {
-    /// Short human-readable name (used in reports and bench labels).
-    fn name(&self) -> &'static str;
-
-    /// The [`SolverChoice`] tag this solver reports as.
-    fn choice(&self) -> SolverChoice;
-
-    /// Whether this solver's structural licence covers the prepared query
-    /// under the given thresholds.
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool;
-
-    /// Evaluate the prepared query against one database through its index.
-    fn solve(
-        &self,
-        query: &PreparedQuery,
-        database: &Structure,
-        index: &StructureIndex,
-    ) -> SolveOutcome;
-}
-
-/// Tree-depth evaluation (para-L tier, Lemma 3.3): the kernel sum–product
-/// recursion over the prepared elimination-forest certificate with
-/// first-witness early exit — `O(td)` images in memory, index-driven
-/// candidate domains.  (The Lemma 3.3 sentence compilation and metered
-/// model check remain available as [`PreparedQuery::sentence`] +
-/// `cq_solver::treedepth::hom_via_compiled_sentence`, the reference the
-/// differential oracle compares against.)
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeDepthSolver;
-
-impl HomSolver for TreeDepthSolver {
-    fn name(&self) -> &'static str {
-        "tree-depth forest evaluation"
+impl SolverChoice {
+    /// The tier itself.  [`SolverRegistry::select`] returns the tier, and
+    /// callers read it back by this name (perfbench's traced replay does).
+    pub fn choice(self) -> SolverChoice {
+        self
     }
 
-    fn choice(&self) -> SolverChoice {
-        SolverChoice::TreeDepth
+    /// Whether this tier's structural licence covers the prepared query
+    /// under the given thresholds (keyed on the evaluated structure's
+    /// widths — decision is core-invariant).
+    pub fn admits(self, query: &PreparedQuery, config: &EngineConfig) -> bool {
+        let widths = query.widths();
+        match self {
+            SolverChoice::TreeDepth => widths.treedepth <= config.treedepth_threshold,
+            SolverChoice::PathDecomposition => widths.pathwidth <= config.pathwidth_threshold,
+            SolverChoice::TreeDecomposition => widths.treewidth <= config.treewidth_threshold,
+            SolverChoice::Backtracking => true,
+        }
     }
 
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.widths().treedepth <= config.treedepth_threshold
-    }
-
-    fn solve(
-        &self,
+    /// Decide the prepared query against one database through its index:
+    ///
+    /// * tree depth — the kernel sum–product recursion over the
+    ///   elimination-forest certificate with first-witness early exit
+    ///   (Lemma 3.3; `O(td)` images in memory);
+    /// * pathwidth — the kernel staircase sweep (Theorem 4.6);
+    /// * treewidth — the kernel tree DP, retained across in-place deltas
+    ///   ([`PreparedQuery::decide_via_tree`]);
+    /// * backtracking — the whole query as one kernel bag program searched
+    ///   for a first witness in fail-first order (no structural guarantee).
+    pub fn solve(
+        self,
         query: &PreparedQuery,
         _database: &Structure,
         index: &StructureIndex,
     ) -> SolveOutcome {
-        let run = query.decide_via_forest(index);
+        let (exists, work) = match self {
+            SolverChoice::TreeDepth => {
+                let run = query.forest(index, Side::Evaluated).decide(index);
+                (run.exists, run.assignments)
+            }
+            SolverChoice::PathDecomposition => {
+                let report = query.stair(index).run(index);
+                (report.exists, report.peak_frontier as u64)
+            }
+            SolverChoice::TreeDecomposition => {
+                let run = query.decide_via_tree(index);
+                (run.exists, run.peak_table as u64)
+            }
+            SolverChoice::Backtracking => {
+                let (hom, stats) = query.search(index, Side::Evaluated).run(index);
+                (hom.is_some(), stats.assignments)
+            }
+        };
         SolveOutcome {
-            exists: run.exists,
-            work: Some(run.assignments),
+            exists,
+            work: Some(work),
         }
     }
 }
 
-/// Path-decomposition sweep (PATH algorithm, Theorem 4.6) over the prepared
-/// query's staircase-normalized optimal path decomposition — the kernel
-/// sweep with flat frontier rows and hash-deduplicated forget steps.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PathDpSolver;
-
-impl HomSolver for PathDpSolver {
-    fn name(&self) -> &'static str {
-        "path-decomposition sweep"
-    }
-
-    fn choice(&self) -> SolverChoice {
-        SolverChoice::PathDecomposition
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.widths().pathwidth <= config.pathwidth_threshold
-    }
-
-    fn solve(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-    ) -> SolveOutcome {
-        let report = query.decide_via_staircase(index);
-        SolveOutcome {
-            exists: report.exists,
-            work: Some(report.peak_frontier as u64),
-        }
-    }
-}
-
-/// Tree-decomposition dynamic programming (TREE algorithm) over the
-/// prepared query's optimal tree decomposition — the kernel DP with
-/// per-edge separator hash-joins.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeDecSolver;
-
-impl HomSolver for TreeDecSolver {
-    fn name(&self) -> &'static str {
-        "tree-decomposition DP"
-    }
-
-    fn choice(&self) -> SolverChoice {
-        SolverChoice::TreeDecomposition
-    }
-
-    fn admits(&self, query: &PreparedQuery, config: &EngineConfig) -> bool {
-        query.widths().treewidth <= config.treewidth_threshold
-    }
-
-    fn solve(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-    ) -> SolveOutcome {
-        let run = query.decide_via_tree(index);
-        SolveOutcome {
-            exists: run.exists,
-            work: Some(run.peak_table as u64),
-        }
-    }
-}
-
-/// The structural-guarantee-free fallback: the whole query compiled as one
-/// kernel bag program (index-driven candidate domains, incremental
-/// constraint checks) searched for a first witness.  Admits every query,
-/// so it terminates every registry walk.
-///
-/// Of the E12 knobs only `fail_first_ordering` applies — the kernel's
-/// unary/incidence prefilter subsumes the unary half of arc consistency
-/// and is always on; the raw propagating search of
-/// [`cq_solver::backtrack::BacktrackSolver`] remains available for
-/// ablation baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BacktrackSolver {
-    /// Configuration of the underlying search (the E12 ablation knobs).
-    pub config: BacktrackConfig,
-}
-
-impl HomSolver for BacktrackSolver {
-    fn name(&self) -> &'static str {
-        "backtracking search"
-    }
-
-    fn choice(&self) -> SolverChoice {
-        SolverChoice::Backtracking
-    }
-
-    fn admits(&self, _query: &PreparedQuery, _config: &EngineConfig) -> bool {
-        true
-    }
-
-    fn solve(
-        &self,
-        query: &PreparedQuery,
-        _database: &Structure,
-        index: &StructureIndex,
-    ) -> SolveOutcome {
-        let (hom, stats) = query.search(index, self.config.fail_first_ordering);
-        SolveOutcome {
-            exists: hom.is_some(),
-            work: Some(stats.assignments),
-        }
-    }
-}
-
-/// A priority-ordered list of solvers; dispatch picks the first that admits
-/// the query.
+/// A priority-ordered list of decision tiers; dispatch picks the first that
+/// admits the query.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverRegistry {
-    solvers: Vec<Box<dyn HomSolver>>,
+    tiers: Vec<SolverChoice>,
 }
 
 impl SolverRegistry {
     /// The standard order of Theorem 3.1: tree depth, then pathwidth, then
-    /// treewidth, then the backtracking fallback, with the backtracking knobs
-    /// taken from `config`.
-    pub fn standard(config: &EngineConfig) -> SolverRegistry {
+    /// treewidth, then the backtracking fallback.
+    pub fn standard() -> SolverRegistry {
         SolverRegistry {
-            solvers: vec![
-                Box::new(TreeDepthSolver),
-                Box::new(PathDpSolver),
-                Box::new(TreeDecSolver),
-                Box::new(BacktrackSolver {
-                    config: config.backtrack,
-                }),
+            tiers: vec![
+                SolverChoice::TreeDepth,
+                SolverChoice::PathDecomposition,
+                SolverChoice::TreeDecomposition,
+                SolverChoice::Backtracking,
             ],
         }
     }
 
-    /// A registry with an explicit solver list (full control for ablations).
-    pub fn new(solvers: Vec<Box<dyn HomSolver>>) -> SolverRegistry {
-        SolverRegistry { solvers }
-    }
-
-    /// This registry minus every solver reporting the given choice — the E12
-    /// ablation edit ("what happens without the path sweep?").
+    /// This registry minus the given tier — the E12 ablation edit ("what
+    /// happens without the path sweep?").
     pub fn without(mut self, choice: SolverChoice) -> SolverRegistry {
-        self.solvers.retain(|s| s.choice() != choice);
+        self.tiers.retain(|&t| t != choice);
         self
     }
 
-    /// Append a solver at the lowest priority.
-    pub fn push(&mut self, solver: Box<dyn HomSolver>) {
-        self.solvers.push(solver);
+    /// The first tier admitting the query, in priority order.
+    pub fn select(&self, query: &PreparedQuery, config: &EngineConfig) -> Option<SolverChoice> {
+        self.tiers.iter().copied().find(|t| t.admits(query, config))
     }
 
-    /// The first solver admitting the query, in priority order.
-    pub fn select(&self, query: &PreparedQuery, config: &EngineConfig) -> Option<&dyn HomSolver> {
-        self.solvers
-            .iter()
-            .map(|s| s.as_ref())
-            .find(|s| s.admits(query, config))
-    }
-
-    /// The solvers in priority order (names are stable bench labels).
-    pub fn solvers(&self) -> impl Iterator<Item = &dyn HomSolver> {
-        self.solvers.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of registered solvers.
-    pub fn len(&self) -> usize {
-        self.solvers.len()
-    }
-
-    /// Whether the registry is empty (no solver will ever be selected).
-    pub fn is_empty(&self) -> bool {
-        self.solvers.is_empty()
-    }
-}
-
-impl std::fmt::Debug for SolverRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.solvers.iter().map(|s| s.name()))
-            .finish()
+    /// The tiers in priority order.
+    pub fn tiers(&self) -> &[SolverChoice] {
+        &self.tiers
     }
 }
 
@@ -297,7 +152,8 @@ mod tests {
     #[test]
     fn standard_registry_selects_in_priority_order() {
         let cfg = EngineConfig::default();
-        let registry = SolverRegistry::standard(&cfg);
+        let registry = SolverRegistry::standard();
+        assert_eq!(registry.tiers().len(), 4);
         let cases = [
             (families::star(5), SolverChoice::TreeDepth),
             (
@@ -309,47 +165,36 @@ mod tests {
         for (a, expected) in cases {
             let q = prepared(&a);
             let s = registry.select(&q, &cfg).expect("fallback admits");
-            assert_eq!(s.choice(), expected, "{a}");
+            assert_eq!(s, expected, "{a}");
         }
     }
 
     #[test]
     fn without_removes_a_tier_and_dispatch_falls_through() {
         let cfg = EngineConfig::default();
-        let registry = SolverRegistry::standard(&cfg).without(SolverChoice::TreeDepth);
-        assert_eq!(registry.len(), 3);
-        // A star has tree depth 2; with the tree-depth solver ablated the
+        let registry = SolverRegistry::standard().without(SolverChoice::TreeDepth);
+        assert_eq!(registry.tiers().len(), 3);
+        // A star has tree depth 2; with the tree-depth tier ablated the
         // path sweep (pathwidth 1) picks it up.
         let q = prepared(&families::star(5));
         let s = registry.select(&q, &cfg).expect("fallback admits");
-        assert_eq!(s.choice(), SolverChoice::PathDecomposition);
-    }
-
-    #[test]
-    fn empty_registry_selects_nothing() {
-        let cfg = EngineConfig::default();
-        let registry = SolverRegistry::new(Vec::new());
-        assert!(registry.is_empty());
-        let q = prepared(&families::star(3));
-        assert!(registry.select(&q, &cfg).is_none());
+        assert_eq!(s, SolverChoice::PathDecomposition);
     }
 
     #[test]
     fn all_registry_solvers_agree_with_the_reference() {
-        let cfg = EngineConfig::default();
-        let registry = SolverRegistry::standard(&cfg);
-        // A query every solver admits: a star (td 2, pw 1, tw 1).
+        let registry = SolverRegistry::standard();
+        // A query every tier admits: a star (td 2, pw 1, tw 1).
         let a = families::star(3);
         let q = prepared(&a);
         for b in [families::clique(3), families::cycle(6), families::path(4)] {
             let expected = cq_structures::homomorphism_exists(&a, &b);
             let index = StructureIndex::new(&b);
-            for s in registry.solvers() {
+            for &s in registry.tiers() {
                 assert_eq!(
                     s.solve(&q, &b, &index).exists,
                     expected,
-                    "{} on {a} -> {b}",
-                    s.name()
+                    "{s:?} on {a} -> {b}"
                 );
             }
         }

@@ -10,6 +10,13 @@
 //! whole workload across a scoped thread pool
 //! ([`EngineConfig::workers`]), preparing each distinct query exactly once.
 //!
+//! Dispatch: decision walks the engine's [`SolverRegistry`] of
+//! [`crate::SolverChoice`] tiers keyed on the plan's (core) widths;
+//! counting and weighted aggregates walk one [`CountRegistry`] of
+//! [`crate::CountMethod`] tiers keyed on the original query's widths.
+//! Answers run the free-adjoined tree DP within the treewidth threshold
+//! and brute force beyond it.
+//!
 //! Cache correctness: entries are keyed by the isomorphism-invariant
 //! [fingerprint](cq_logic::canonical::query_fingerprint) of the submitted
 //! query and **confirmed** by a homomorphic-equivalence check
@@ -36,14 +43,13 @@
 //!   counters of [`cq_decomp::stats`] / [`cq_structures`] only see the
 //!   calling thread and would silently undercount under parallelism.
 
-use crate::aggregates::{AggregateObjective, AggregateRegistry, AggregateReport};
+use crate::aggregates::{AggregateObjective, AggregateReport};
 use crate::answers::{AnswerCountReport, AnswerMethod, AnswerPage};
 use crate::counting::{CountOutcome, CountRegistry, CountReport};
 use crate::engine::{EngineConfig, EngineReport};
 use crate::persist::{PersistError, PlanStore, WarmStartSummary};
 use crate::prepared::PreparedQuery;
 use crate::registry::SolverRegistry;
-use crate::Degree;
 use cq_decomp::WidthProfile;
 use cq_logic::canonical::query_fingerprint;
 use cq_structures::{
@@ -734,71 +740,26 @@ impl InstanceIndexCache {
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        let token = database.content_token();
         if self.total_capacity == 0 {
             // Caching disabled: mutate a throwaway index so the answer
             // semantics match the cached path.
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut index = StructureIndex::new(database);
-            let applied = index.apply_delta(batch)?;
-            return Ok((Arc::new(index), applied));
+            let index = Arc::new(StructureIndex::new(database));
+            return self.apply_and_recache(None, token, index, batch);
         }
-        let token = database.content_token();
-        let (hash, arc) = match self.alias_take(token) {
-            Some((hash, index)) => {
-                // Also unhook the shard's Arc so ours is the last one.
-                let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                let mut shard = shard.lock().expect("index shard lock");
-                if let Some(pos) = shard
-                    .slots
-                    .iter()
-                    .position(|s| Arc::ptr_eq(&s.index, &index))
-                {
-                    shard.slots.swap_remove(pos);
-                }
-                drop(shard);
+        let (hash, cached) = self.take_for_delta(token, database);
+        let index = match cached {
+            Some(index) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                (hash, index)
+                index
             }
             None => {
-                let hash = self.hashed(database);
-                let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                let mut guard = shard.lock().expect("index shard lock");
-                if let Some(pos) = guard
-                    .slots
-                    .iter()
-                    .position(|s| s.hash == hash && s.index.structure() == database)
-                {
-                    let slot = guard.slots.swap_remove(pos);
-                    drop(guard);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (hash, slot.index)
-                } else {
-                    drop(guard);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    (hash, Arc::new(StructureIndex::new(database)))
-                }
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::new(StructureIndex::new(database))
             }
         };
-        // Concurrent holders of the old Arc (in-flight evaluations, an
-        // earlier DeltaReport) keep their pre-delta snapshot; the clone
-        // shares the index identity, so warm programs stay keyed right.
-        let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-        match owned.apply_delta(batch) {
-            Ok(applied) => {
-                let index = Arc::new(owned);
-                let index = self.insert_slot(hash, index, None);
-                self.alias_record(index.structure().content_token(), hash, &index);
-                Ok((index, applied))
-            }
-            Err(error) => {
-                // Whole-batch validation failed before any mutation: put
-                // the untouched index back.
-                let index = Arc::new(owned);
-                let index = self.insert_slot(hash, index, None);
-                self.alias_record(token, hash, &index);
-                Err(error)
-            }
-        }
+        self.apply_and_recache(Some(hash), token, index, batch)
     }
 
     /// The chained form of [`Self::apply_delta`]: the caller hands back the
@@ -823,80 +784,83 @@ impl InstanceIndexCache {
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let token = caller.structure().content_token();
-        let (hash, arc) = if self.total_capacity == 0 {
+        if self.total_capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            (None, caller)
-        } else {
-            match self.alias_take(token) {
-                Some((hash, index)) => {
-                    // Unhook the shard's Arc, then drop the caller's: the
-                    // alias invariant says `index` holds exactly the content
-                    // `token` names, so it and `caller` are interchangeable
-                    // (normally the same allocation).
-                    let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                    let mut shard = shard.lock().expect("index shard lock");
-                    if let Some(pos) = shard
-                        .slots
-                        .iter()
-                        .position(|s| Arc::ptr_eq(&s.index, &index))
-                    {
-                        shard.slots.swap_remove(pos);
-                    }
-                    drop(shard);
-                    drop(caller);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (Some(hash), index)
-                }
-                None => {
-                    // Alias evicted (or the report came from another
-                    // engine): fall back to the hash, unhooking a matching
-                    // shard slot so the caller's Arc is the last one.
-                    let hash = self.hashed(caller.structure());
-                    let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-                    let mut guard = shard.lock().expect("index shard lock");
-                    let slot = guard
-                        .slots
-                        .iter()
-                        .position(|s| s.hash == hash && s.index.structure() == caller.structure())
-                        .map(|pos| guard.slots.swap_remove(pos));
-                    drop(guard);
-                    match slot {
-                        Some(slot) => {
-                            drop(caller);
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            (Some(hash), slot.index)
-                        }
-                        None => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            (Some(hash), caller)
-                        }
-                    }
-                }
+            return self.apply_and_recache(None, token, caller, batch);
+        }
+        let (hash, cached) = self.take_for_delta(token, caller.structure());
+        let index = match cached {
+            Some(index) => {
+                // The alias invariant says a cached index holds exactly the
+                // content `token` names, so it and `caller` are
+                // interchangeable (normally the same allocation): drop the
+                // caller's `Arc` so the mutation owns the last one.
+                drop(caller);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                index
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                caller
             }
         };
-        let mut owned = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-        match owned.apply_delta(batch) {
-            Ok(applied) => {
-                let index = Arc::new(owned);
-                let index = match hash {
-                    Some(hash) => {
-                        let index = self.insert_slot(hash, index, None);
-                        self.alias_record(index.structure().content_token(), hash, &index);
-                        index
-                    }
-                    None => index,
-                };
-                Ok((index, applied))
-            }
-            Err(error) => {
-                if let Some(hash) = hash {
-                    let index = Arc::new(owned);
-                    let index = self.insert_slot(hash, index, None);
-                    self.alias_record(token, hash, &index);
-                }
-                Err(error)
-            }
+        self.apply_and_recache(Some(hash), token, index, batch)
+    }
+
+    /// Take the cached index of a content state out of the cache — through
+    /// its token alias, else (alias evicted, or a report from another
+    /// engine) its content hash — unhooking the shard's `Arc` so the delta
+    /// that follows owns the last one.  Returns the shard hash and the
+    /// index, if cached.
+    fn take_for_delta(
+        &self,
+        token: u64,
+        database: &Structure,
+    ) -> (u64, Option<Arc<StructureIndex>>) {
+        let (hash, aliased) = match self.alias_take(token) {
+            Some((hash, index)) => (hash, Some(index)),
+            None => (self.hashed(database), None),
+        };
+        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
+        let mut shard = shard.lock().expect("index shard lock");
+        let slot = shard
+            .slots
+            .iter()
+            .position(|s| match &aliased {
+                Some(index) => Arc::ptr_eq(&s.index, index),
+                None => s.hash == hash && s.index.structure() == database,
+            })
+            .map(|pos| shard.slots.swap_remove(pos));
+        drop(shard);
+        (hash, aliased.or(slot.map(|slot| slot.index)))
+    }
+
+    /// Apply `batch` to `index` and re-file the result under `hash` with a
+    /// fresh token alias (`None`: caching disabled).  A batch failing
+    /// whole-batch validation mutates nothing, and the untouched index goes
+    /// back under its old token.
+    fn apply_and_recache(
+        &self,
+        hash: Option<u64>,
+        token: u64,
+        index: Arc<StructureIndex>,
+        batch: &DeltaBatch,
+    ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
+        // Concurrent holders of the old Arc (in-flight evaluations, an
+        // earlier DeltaReport) keep their pre-delta snapshot; the clone
+        // shares the index identity, so warm programs stay keyed right.
+        let mut owned = Arc::try_unwrap(index).unwrap_or_else(|shared| (*shared).clone());
+        let result = owned.apply_delta(batch);
+        let mut index = Arc::new(owned);
+        if let Some(hash) = hash {
+            index = self.insert_slot(hash, index, None);
+            let token = match result {
+                Ok(_) => index.structure().content_token(),
+                Err(_) => token,
+            };
+            self.alias_record(token, hash, &index);
         }
+        result.map(|applied| (index, applied))
     }
 
     fn stats(&self) -> IndexStats {
@@ -946,7 +910,7 @@ fn shard_capacity(total: usize, count: usize, index: usize) -> usize {
     total / count + usize::from(index < total % count)
 }
 
-/// The prepared-query evaluation engine: solver registry + sharded plan
+/// The prepared-query evaluation engine: tier registries + sharded plan
 /// cache + parallel batch API.  Cheap to share across threads (`&Engine` is
 /// `Send + Sync`; all interior state is sharded-mutex-guarded or atomic).
 pub struct Engine {
@@ -954,7 +918,6 @@ pub struct Engine {
     config: EngineConfig,
     registry: SolverRegistry,
     count_registry: CountRegistry,
-    aggregate_registry: AggregateRegistry,
     cache: ShardedPlanCache,
     indexes: InstanceIndexCache,
     registered: Mutex<Vec<Arc<PreparedQuery>>>,
@@ -970,6 +933,10 @@ pub struct Engine {
 /// mutex + an encode; the file I/O happens off the serving path.
 struct EvictionSink {
     store: Arc<Mutex<PlanStore>>,
+    /// Held across each (snapshot, write) pair — by the writer thread and
+    /// by [`Engine::save_plans`] — so files are written in snapshot order:
+    /// the image only grows, so no write can replace a fuller one.
+    flush: Arc<Mutex<()>>,
     /// Wake signals for the writer thread; dropping the sender (engine
     /// drop) flushes all pending work and stops the thread.
     wake: Mutex<Option<std::sync::mpsc::Sender<()>>>,
@@ -977,10 +944,10 @@ struct EvictionSink {
 }
 
 impl Engine {
-    /// An engine with the standard solver registries (decision and
+    /// An engine with the standard tier registries (decision and
     /// counting) and default cache capacity.
     pub fn new(config: EngineConfig) -> Engine {
-        Engine::with_registry(config, SolverRegistry::standard(&config))
+        Engine::with_registry(config, SolverRegistry::standard())
     }
 
     /// An engine with an explicit decision registry (ablations,
@@ -992,7 +959,6 @@ impl Engine {
             config,
             registry,
             count_registry: CountRegistry::standard(),
-            aggregate_registry: AggregateRegistry::standard(),
             cache: ShardedPlanCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY),
             indexes: InstanceIndexCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_INDEX_CACHE_CAPACITY),
             registered: Mutex::new(Vec::new()),
@@ -1001,17 +967,10 @@ impl Engine {
         }
     }
 
-    /// Override the counting registry (counting ablations — the E15
-    /// analogue of the E12 registry edits).
+    /// Override the counting registry (counting and weighted-aggregate
+    /// ablations — the E15 analogue of the E12 registry edits).
     pub fn with_count_registry(mut self, count_registry: CountRegistry) -> Engine {
         self.count_registry = count_registry;
-        self
-    }
-
-    /// Override the weighted-aggregate registry (tier ablations for the
-    /// min-cost / max-weight entry points).
-    pub fn with_aggregate_registry(mut self, aggregate_registry: AggregateRegistry) -> Engine {
-        self.aggregate_registry = aggregate_registry;
         self
     }
 
@@ -1058,20 +1017,16 @@ impl Engine {
         &self.config
     }
 
-    /// The solver registry used for decision dispatch.
+    /// The tier registry used for decision dispatch.
     pub fn registry(&self) -> &SolverRegistry {
         &self.registry
     }
 
-    /// The counting registry used for [`Engine::count_instance`] dispatch.
+    /// The counting registry used for [`Engine::count_instance`] and
+    /// [`Engine::evaluate_min_cost`] / [`Engine::evaluate_max_weight`]
+    /// dispatch.
     pub fn count_registry(&self) -> &CountRegistry {
         &self.count_registry
-    }
-
-    /// The aggregate registry used for [`Engine::evaluate_min_cost`] /
-    /// [`Engine::evaluate_max_weight`] dispatch.
-    pub fn aggregate_registry(&self) -> &AggregateRegistry {
-        &self.aggregate_registry
     }
 
     /// The number of cache shards currently configured.
@@ -1285,19 +1240,19 @@ impl Engine {
     }
 
     /// Evaluate a prepared query against one database: select the first
-    /// admitting solver in registry priority order and run it on the plan's
+    /// admitting tier in registry priority order and run it on the plan's
     /// certificates through the database's cached index.  No per-query
     /// exponential work happens here.
     pub fn solve_prepared(&self, plan: &PreparedQuery, database: &Structure) -> EngineReport {
-        let solver = self
+        let choice = self
             .registry
             .select(plan, &self.config)
-            .expect("solver registry has no solver admitting this query (ablated registries must keep a fallback)");
+            .expect("solver registry has no tier admitting this query (ablated registries must keep a fallback)");
         let index = self.indexes.get(database);
-        let outcome = solver.solve(plan, database, &index);
+        let outcome = choice.solve(plan, database, &index);
         EngineReport {
             exists: outcome.exists,
-            choice: solver.choice(),
+            choice,
             degree_hint: plan.degree_hint(),
             widths: plan.widths(),
             evaluated_query_size: plan.evaluated_size(),
@@ -1318,44 +1273,50 @@ impl Engine {
     /// fingerprint collision — falls back to an uncached exact count
     /// instead of a silently wrong one.
     pub fn count_instance(&self, query: &Structure, database: &Structure) -> CountReport {
+        self.count_prepared(&self.counting_plan(query), database)
+    }
+
+    /// A cached plan that **counts** for `query` (see
+    /// [`Engine::count_instance`]) — the reuse guard for counts and
+    /// aggregates.
+    fn counting_plan(&self, query: &Structure) -> Arc<PreparedQuery> {
         let plan = self.prepare(query);
         if plan.counts_for(query) {
-            self.count_prepared(&plan, database)
+            plan
         } else {
             // Fingerprint collision between hom-equivalent non-isomorphic
             // structures: prepare a throwaway plan for the submitted form
-            // (uncached — inserting it would fight the colliding slot) and
-            // count on that.
-            let plan = self.prepare_counted(query, query_fingerprint(query));
-            self.count_prepared(&plan, database)
+            // (uncached — inserting it would fight the colliding slot).
+            self.prepare_counted(query, query_fingerprint(query))
         }
     }
 
     /// Count a prepared query's homomorphisms into one database: ensure the
     /// original-structure counting certificates exist (lazy, once per
-    /// plan), select the first admitting counting solver in registry
+    /// plan), select the first admitting counting tier in registry
     /// priority order, and run it.  On a plan whose counting certificates
     /// are already materialized, no per-query exponential work happens
     /// here.
     pub fn count_prepared(&self, plan: &PreparedQuery, database: &Structure) -> CountReport {
         let widths = self.ensure_counting_certificates(plan);
-        let solver = self
-            .count_registry
-            .select(plan, &self.config)
-            .expect("counting registry has no solver admitting this query (ablated registries must keep a fallback)");
+        let method = self.count_method(plan);
         let index = self.indexes.get(database);
-        let evaluation = solver.count(plan, database, &index);
+        let evaluation = method.count(plan, database, &index);
         CountReport {
             count: evaluation.outcome,
-            method: solver.method(),
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
+            method,
+            degree_hint: self.config.degree_hint(widths),
             widths,
             counted_query_size: plan.original().universe_size(),
         }
+    }
+
+    /// The first counting tier admitting the plan (counting certificates
+    /// already materialized).
+    fn count_method(&self, plan: &PreparedQuery) -> crate::CountMethod {
+        self.count_registry
+            .select(plan, &self.config)
+            .expect("counting registry has no tier admitting this query (ablated registries must keep a fallback)")
     }
 
     /// Count a batch of (query, database) instances across the configured
@@ -1442,11 +1403,7 @@ impl Engine {
         AnswerCountReport {
             answers,
             method,
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
+            degree_hint: self.config.degree_hint(widths),
             widths,
             answer_width,
             free_count: free.len(),
@@ -1488,38 +1445,19 @@ impl Engine {
             let index = self.indexes.get(database);
             let program = plan.answer_program(&index, &free);
             let mut cursor = program.cursor(&index);
-            let method = AnswerMethod::TreeDecompositionDp;
-            for _ in 0..offset {
-                if cursor.next().is_none() {
-                    // Page starts past the end: empty, nothing follows.
-                    return AnswerPage {
-                        rows: Vec::new(),
-                        offset,
-                        has_more: false,
-                        method,
-                    };
-                }
-            }
-            let mut rows = Vec::new();
-            while rows.len() < limit {
-                match cursor.next() {
-                    Some(row) => rows.push(row),
-                    None => {
-                        return AnswerPage {
-                            rows,
-                            offset,
-                            has_more: false,
-                            method,
-                        }
-                    }
-                }
-            }
-            let has_more = cursor.next().is_some();
+            // A page starting past the end is empty, with nothing following.
+            let in_range = (0..offset).all(|_| cursor.next().is_some());
+            let rows: Vec<Vec<u32>> = if in_range {
+                cursor.by_ref().take(limit).collect()
+            } else {
+                Vec::new()
+            };
+            let has_more = in_range && rows.len() == limit && cursor.next().is_some();
             AnswerPage {
                 rows,
                 offset,
                 has_more,
-                method,
+                method: AnswerMethod::TreeDecompositionDp,
             }
         } else {
             let all = answers_bruteforce(&canonical, database, &free);
@@ -1647,7 +1585,7 @@ impl Engine {
     /// Shared implementation of the aggregate entry points: prepare through
     /// the cache with the same isomorphism guard as
     /// [`Engine::count_instance`] (aggregates are not core-invariant), then
-    /// dispatch through the aggregate registry.
+    /// dispatch through the counting registry.
     fn aggregate_instance(
         &self,
         query: &Structure,
@@ -1659,20 +1597,12 @@ impl Engine {
             weights.matches(database),
             "weight table does not align with the database's relations"
         );
-        let plan = self.prepare(query);
-        if plan.counts_for(query) {
-            self.aggregate_prepared(&plan, database, weights, objective)
-        } else {
-            // Fingerprint collision between hom-equivalent non-isomorphic
-            // structures — same uncached fallback as counting.
-            let plan = self.prepare_counted(query, query_fingerprint(query));
-            self.aggregate_prepared(&plan, database, weights, objective)
-        }
+        self.aggregate_prepared(&self.counting_plan(query), database, weights, objective)
     }
 
     /// Aggregate a prepared query against one database: ensure the counting
     /// certificates (aggregates run on the original structure), select the
-    /// first admitting aggregate solver, and run it.
+    /// first admitting counting tier, and run its weighted evaluation.
     pub fn aggregate_prepared(
         &self,
         plan: &PreparedQuery,
@@ -1681,21 +1611,14 @@ impl Engine {
         objective: AggregateObjective,
     ) -> AggregateReport {
         let widths = self.ensure_counting_certificates(plan);
-        let solver = self
-            .aggregate_registry
-            .select(plan, &self.config)
-            .expect("aggregate registry has no solver admitting this query (ablated registries must keep a fallback)");
+        let method = self.count_method(plan);
         let index = self.indexes.get(database);
-        let value = solver.evaluate(plan, database, &index, weights, objective);
+        let value = method.evaluate(plan, database, &index, weights, objective);
         AggregateReport {
             value,
             objective,
-            method: solver.method(),
-            degree_hint: Degree::from_boundedness(
-                widths.treewidth <= self.config.treewidth_threshold,
-                widths.pathwidth <= self.config.pathwidth_threshold,
-                widths.treedepth <= self.config.treedepth_threshold,
-            ),
+            method,
+            degree_hint: self.config.degree_hint(widths),
             widths,
         }
     }
@@ -1828,31 +1751,39 @@ impl Engine {
     /// use, like any in-process plan.
     pub fn save_plans(&self, path: impl AsRef<std::path::Path>) -> Result<u64, PersistError> {
         let plans = self.snapshot_plans();
-        let mut store = PlanStore::new(self.config);
-        for plan in &plans {
-            store.push_plan(plan);
-        }
-        // Fold in evicted-but-persisted records no longer live in any
-        // shard, so a restart warm-starts every fingerprint this engine
-        // ever prepared — churned out or not.
-        let mut merged = 0u64;
-        if let Some(sink) = &self.eviction {
-            let live: std::collections::HashSet<u64> =
-                plans.iter().map(|p| p.fingerprint()).collect();
-            let evicted = sink
-                .store
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for record in evicted.records() {
-                if !live.contains(&record.fingerprint()) {
-                    store.push_raw_record(record.fingerprint(), record.payload().to_vec());
-                    merged += 1;
+        let total = match &self.eviction {
+            None => {
+                let mut store = PlanStore::new(self.config);
+                for plan in &plans {
+                    store.push_plan(plan);
                 }
+                store.write_to(path)?;
+                store.len()
             }
-            store.sort_by_fingerprint();
-        }
-        store.write_to(path)?;
-        let total = plans.len() as u64 + merged;
+            Some(sink) => {
+                // Fold the live plans into the eviction image, so the save
+                // covers every fingerprint this engine ever prepared —
+                // churned out or not — and no later eviction flush writes
+                // fewer records than this save did.
+                let _flush = sink
+                    .flush
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                let (image, total) = {
+                    let mut store = sink
+                        .store
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    for plan in &plans {
+                        store.upsert_plan(plan);
+                    }
+                    store.sort_by_fingerprint();
+                    (store.to_bytes(), store.len())
+                };
+                crate::persist::write_image_atomic(path.as_ref(), &image)?;
+                total
+            }
+        } as u64;
         self.prep.plans_saved.fetch_add(total, Ordering::Relaxed);
         Ok(total)
     }
@@ -1944,10 +1875,11 @@ impl Engine {
     /// incompatible file is ignored and the image starts empty.  Writes are
     /// atomic (temp sibling + rename) and best-effort: an I/O failure skips
     /// that flush, and the next eviction retries with the fuller image.
-    /// [`Engine::save_plans`] folds the image's records into its own
-    /// snapshot, so a graceful shutdown saves every fingerprint ever
-    /// prepared — evicted or live.  Dropping the engine joins the writer
-    /// after a final flush.
+    /// [`Engine::save_plans`] folds its live plans into the image and
+    /// writes the whole image, so a graceful shutdown saves every
+    /// fingerprint ever prepared — evicted or live — and no later flush
+    /// writes fewer records than it saved.  Dropping the engine joins the
+    /// writer after a final flush.
     pub fn with_eviction_store(mut self, path: impl AsRef<std::path::Path>) -> Engine {
         let path = path.as_ref().to_path_buf();
         let seed = match PlanStore::read_from(&path) {
@@ -1955,14 +1887,19 @@ impl Engine {
             _ => PlanStore::new(self.config),
         };
         let store = Arc::new(Mutex::new(seed));
+        let flush = Arc::new(Mutex::new(()));
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let writer = {
             let store = Arc::clone(&store);
+            let flush = Arc::clone(&flush);
             std::thread::spawn(move || {
                 // Each wake covers every upsert that preceded it; draining
                 // the queue coalesces a burst of evictions into one write.
                 while rx.recv().is_ok() {
                     while rx.try_recv().is_ok() {}
+                    let _flush = flush
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
                     let image = store
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1973,6 +1910,7 @@ impl Engine {
         };
         self.eviction = Some(EvictionSink {
             store,
+            flush,
             wake: Mutex::new(Some(tx)),
             writer: Some(writer),
         });
@@ -2037,7 +1975,6 @@ impl std::fmt::Debug for Engine {
             .field("config", &self.config)
             .field("registry", &self.registry)
             .field("count_registry", &self.count_registry)
-            .field("aggregate_registry", &self.aggregate_registry)
             .field("cache_shards", &self.cache_shards())
             .field("cache", &self.cache_stats())
             .field("prep", &self.prep_stats())
@@ -2379,7 +2316,7 @@ mod tests {
         let full = Engine::new(cfg);
         let ablated = Engine::with_registry(
             cfg,
-            SolverRegistry::standard(&cfg).without(SolverChoice::TreeDepth),
+            SolverRegistry::standard().without(SolverChoice::TreeDepth),
         );
         let a = families::star(5);
         for b in [families::clique(3), families::cycle(6)] {

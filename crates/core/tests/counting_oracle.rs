@@ -1,7 +1,7 @@
 //! Differential **counting** oracle: on a seeded corpus of random (query,
-//! structure) pairs, every counting solver of the [`CountRegistry`]
-//! ([`ForestCountSolver`], [`TreeDecCountSolver`],
-//! [`BruteForceCountSolver`]) must return the same number as the
+//! structure) pairs, every counting tier of the [`CountRegistry`]
+//! ([`CountMethod::ForestSumProduct`], [`CountMethod::TreeDecompositionDp`],
+//! [`CountMethod::BruteForce`]) must return the same number as the
 //! structure-agnostic reference [`count_homomorphisms_bruteforce`] — the
 //! counting analogue of `differential_oracle.rs`.
 //!
@@ -17,10 +17,7 @@
 //! corpus is full of such queries, and the closed-form regression at the
 //! bottom pins the trap explicitly.
 
-use cq_core::{
-    BruteForceCountSolver, CountRegistry, CountSolver, Engine, EngineConfig, ForestCountSolver,
-    PreparedQuery, TreeDecCountSolver,
-};
+use cq_core::{CountMethod, CountRegistry, Engine, EngineConfig, PreparedQuery};
 use cq_structures::{core_of, count_homomorphisms_bruteforce, families, Structure, StructureIndex};
 use cq_workloads::{random_digraph_structure, random_graph_structure};
 
@@ -80,10 +77,10 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_count_registry_solver_agrees_with_bruteforce_on_the_corpus() {
     let config = oracle_config();
-    let solvers: [(&str, &dyn CountSolver); 3] = [
-        ("ForestCountSolver", &ForestCountSolver),
-        ("TreeDecCountSolver", &TreeDecCountSolver),
-        ("BruteForceCountSolver", &BruteForceCountSolver),
+    let solvers: [(&str, CountMethod); 3] = [
+        ("ForestSumProduct", CountMethod::ForestSumProduct),
+        ("TreeDecompositionDp", CountMethod::TreeDecompositionDp),
+        ("BruteForce", CountMethod::BruteForce),
     ];
 
     let mut comparisons = 0usize;
@@ -125,7 +122,7 @@ fn every_count_registry_solver_agrees_with_bruteforce_on_the_corpus() {
 /// `count_with_forest`) on every corpus pair, certificate for certificate.
 #[test]
 fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
-    use cq_solver::kernel;
+    use cq_solver::kernel::{ForestProgram, TreeDpProgram};
     let config = oracle_config();
     let mut comparisons = 0usize;
     let mut disagreements = Vec::new();
@@ -134,11 +131,9 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
         let index = StructureIndex::new(&target);
         let analysis = prepared.counting_analysis();
 
-        let kernel_tree = kernel::count_hom_via_tree_decomposition_indexed(
-            prepared.original(),
-            &index,
-            &analysis.tree_decomposition,
-        );
+        let kernel_tree =
+            TreeDpProgram::compile(prepared.original(), &index, &analysis.tree_decomposition)
+                .count(&index);
         let reference_tree = cq_solver::treedec::count_hom_via_tree_decomposition(
             prepared.original(),
             &target,
@@ -152,11 +147,9 @@ fn kernel_counting_agrees_with_the_retained_references_on_the_corpus() {
         }
         comparisons += 1;
 
-        let kernel_forest = kernel::count_with_forest_indexed(
-            prepared.original(),
-            &index,
-            &analysis.elimination_forest,
-        );
+        let kernel_forest =
+            ForestProgram::compile(prepared.original(), &index, &analysis.elimination_forest)
+                .count(&index);
         let reference_forest = cq_solver::treedepth::count_with_forest(
             prepared.original(),
             &target,

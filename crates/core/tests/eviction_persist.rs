@@ -168,3 +168,31 @@ fn eviction_store_seeds_from_an_existing_image_without_clobbering() {
     };
     assert_eq!(fingerprints, sorted, "image stays fingerprint-sorted");
 }
+
+#[test]
+fn evictions_after_save_plans_never_shrink_the_saved_image() {
+    let path = store_path("after_save");
+    let _cleanup = TempStore(path.clone());
+    let config = EngineConfig::default();
+    let fleet = distinct_query_fleet(11);
+    let (saved_fleet, later) = fleet.split_at(10);
+
+    let engine = Engine::new(config)
+        .with_cache_capacity(3)
+        .with_eviction_store(&path);
+    churn(&engine, saved_fleet);
+    let saved = engine.save_plans(&path).expect("save_plans");
+    assert_eq!(saved, saved_fleet.len() as u64);
+    // One more eviction wakes the background writer after the save; its
+    // flush must not replace the saved snapshot with the evicted-only image.
+    churn(&engine, later);
+    drop(engine);
+
+    let store = PlanStore::read_from(&path).expect("image on disk");
+    assert!(
+        store.len() >= saved_fleet.len(),
+        "a flush after save_plans left {} of {} saved records",
+        store.len(),
+        saved_fleet.len()
+    );
+}

@@ -120,7 +120,7 @@ fn ablated_engine_caches_and_answers_correctly() {
     let cfg = EngineConfig::default();
     let engine = Engine::with_registry(
         cfg,
-        SolverRegistry::standard(&cfg).without(SolverChoice::TreeDepth),
+        SolverRegistry::standard().without(SolverChoice::TreeDepth),
     );
     let star = families::star(5);
     for _ in 0..3 {

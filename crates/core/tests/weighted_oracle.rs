@@ -1,6 +1,6 @@
 //! Differential **weighted-aggregate** oracle: on a seeded corpus of
-//! random (query, structure, weights) triples, every aggregate solver of
-//! the [`AggregateRegistry`] must return the same min-cost / max-weight as
+//! random (query, structure, weights) triples, every aggregate tier of
+//! the [`CountRegistry`] must return the same min-cost / max-weight as
 //! the structure-agnostic reference (enumerate every homomorphism with
 //! [`homomorphisms_iter`], cost each by summing image-tuple weights) — the
 //! weighted analogue of `counting_oracle.rs`.
@@ -14,8 +14,7 @@
 //! shifts some optimum.
 
 use cq_core::{
-    AggregateObjective, AggregateRegistry, AggregateSolver, Engine, EngineConfig,
-    ForestAggregateSolver, PreparedQuery, SearchAggregateSolver, TreeDecAggregateSolver,
+    AggregateObjective, CountMethod, CountRegistry, Engine, EngineConfig, PreparedQuery,
 };
 use cq_structures::{homomorphisms_iter, Structure, StructureIndex, TupleWeights};
 use cq_workloads::{random_digraph_structure, random_graph_structure, weighted_traffic};
@@ -116,10 +115,10 @@ fn corpus() -> Vec<(String, Structure, Structure)> {
 #[test]
 fn every_aggregate_solver_agrees_with_bruteforce_on_the_corpus() {
     let config = oracle_config();
-    let solvers: [(&str, &dyn AggregateSolver); 3] = [
-        ("ForestAggregateSolver", &ForestAggregateSolver),
-        ("TreeDecAggregateSolver", &TreeDecAggregateSolver),
-        ("SearchAggregateSolver", &SearchAggregateSolver),
+    let solvers: [(&str, CountMethod); 3] = [
+        ("ForestSumProduct", CountMethod::ForestSumProduct),
+        ("TreeDecompositionDp", CountMethod::TreeDecompositionDp),
+        ("BruteForce", CountMethod::BruteForce),
     ];
 
     let mut comparisons = 0usize;
@@ -233,11 +232,10 @@ fn weighted_batches_are_bit_identical_across_worker_counts() {
 }
 
 /// No homomorphism means `None` on both objectives through the engine —
-/// and an ablated aggregate registry changes the dispatched tier, never
+/// and an ablated counting registry changes the dispatched tier, never
 /// the value.
 #[test]
 fn unsatisfiable_instances_and_ablations_behave() {
-    use cq_core::CountMethod;
     use cq_structures::families;
     let engine = Engine::new(oracle_config());
     // C3 has no homomorphism into bipartite C4.
@@ -252,9 +250,8 @@ fn unsatisfiable_instances_and_ablations_behave() {
     let wk4 = test_weights(&k4);
     let full = engine.evaluate_min_cost(&star, &k4, &wk4);
     assert_eq!(full.method, CountMethod::ForestSumProduct);
-    let ablated_engine = Engine::new(oracle_config()).with_aggregate_registry(
-        AggregateRegistry::standard().without(CountMethod::ForestSumProduct),
-    );
+    let ablated_engine = Engine::new(oracle_config())
+        .with_count_registry(CountRegistry::standard().without(CountMethod::ForestSumProduct));
     let ablated = ablated_engine.evaluate_min_cost(&star, &k4, &wk4);
     assert_eq!(ablated.method, CountMethod::TreeDecompositionDp);
     assert_eq!(full.value, ablated.value, "ablation changed the optimum");

@@ -1,5 +1,5 @@
 //! The flat evaluation kernel: indexed, allocation-light inner loops for
-//! every DP solver in the registry — one **semiring-generic**
+//! every DP tier of the engine — one **semiring-generic**
 //! sum-of-products.
 //!
 //! The reference implementations (`crate::treedec`, `crate::pathdp`,
@@ -25,7 +25,7 @@
 //!   exactly one unbound variable, the enumerator walks the posting list
 //!   of the cheapest bound position instead of scanning the whole
 //!   prefilter domain (a classic index nested-loop join), and the fallback
-//!   search ([`find_hom_indexed`]) is the whole-query [`BagProgram`] in
+//!   search ([`SearchProgram`]) is the whole-query [`BagProgram`] in
 //!   fail-first order with O(1) tuple membership.
 //!
 //! **One DP, many semirings.**  There is exactly one tree DP, one
@@ -50,12 +50,20 @@
 //! [`SearchProgram`] — compiled once per (query, index) pair, and a cheap
 //! `run` that executes it against the same index.  Compiled programs are
 //! semiring-agnostic: one program serves decide, count, and every
-//! weighting.  The free `*_indexed` functions remain as compile-then-run
-//! one-liners; callers that evaluate the same prepared query repeatedly
-//! against a cached database (the engine's warm path) hold on to the
-//! compiled program instead and skip recompilation entirely.
+//! weighting.  A one-off evaluation is `compile(..)` then `decide` /
+//! `count` / `eval`; callers that evaluate the same prepared query
+//! repeatedly against a cached database (the engine's warm path) hold on to
+//! the compiled program and skip recompilation entirely.
 //! [`program_compilation_count`] meters compilations so tests and benches
 //! can assert the warm path stays warm.
+//!
+//! **One bottom-up driver.**  Every tree-DP evaluation — the one-shot
+//! [`TreeDpProgram::eval`], the answer table and the pinned decides of
+//! [`AnswerProgram`], and the (re)build of the retained state of
+//! [`TreeDpProgram::eval_retained`] — is the same children-before-parents
+//! pass: join the children's separator group tables, run the bag
+//! (optionally with pinned depths), then either feed the root's rows to a
+//! sink or group-sum the rows onto the parent separator.
 //!
 //! **Free variables.** The same compiled machinery answers queries with
 //! free variables: [`AnswerProgram`] runs the tree DP over the
@@ -540,7 +548,7 @@ impl BagProgram {
 /// calls.
 struct Join<'a, V> {
     depth: usize,
-    key_depths: Vec<u32>,
+    key_depths: &'a [u32],
     table: &'a GroupTable<V>,
 }
 
@@ -678,13 +686,19 @@ fn enumerate<S: Semiring>(
     false
 }
 
+/// Depths of a bag pinned to fixed images, plus optionally one check
+/// `(depth, position)` to skip — see [`enumerate_pinned`].
+type Pins<'p> = (&'p [Option<u32>], Option<(usize, usize)>);
+
 /// Run a program with joins, emitting every surviving row with its
-/// accumulated ⊗-value.
+/// accumulated ⊗-value — through [`enumerate_pinned`] when `pins` is given
+/// (unweighted semirings only), through [`enumerate`] otherwise.
 fn run_program<S: Semiring>(
     program: &BagProgram,
     index: &StructureIndex,
     weights: Option<&TupleWeights>,
     joins: &[Join<'_, S::Value>],
+    pins: Option<Pins<'_>>,
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
     initial_acc: S::Value,
 ) {
@@ -695,6 +709,23 @@ fn run_program<S: Semiring>(
     let mut row = vec![0u32; program.elems.len()];
     let mut args = Vec::with_capacity(program.max_arity);
     let mut key = Vec::new();
+    if let Some((pins, skip)) = pins {
+        enumerate_pinned::<S>(
+            program,
+            index,
+            &joins_at,
+            joins,
+            pins,
+            skip,
+            0,
+            &mut row,
+            &mut args,
+            &mut key,
+            &initial_acc,
+            emit,
+        );
+        return;
+    }
     let mut scratch = vec![Vec::new(); program.elems.len()];
     if program.elems.is_empty() {
         // An empty bag has exactly the empty row; empty-key joins were
@@ -752,6 +783,24 @@ struct BagTable<V> {
 }
 
 impl<V: Clone> BagTable<V> {
+    fn new(stride: usize) -> BagTable<V> {
+        BagTable {
+            stride,
+            rows: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Keep `row` with its value unless the value is ⊕-zero — the row sink
+    /// of every non-root bag and staircase frontier (never stops early).
+    fn keep<S: Semiring<Value = V>>(&mut self, row: &[u32], value: V) -> bool {
+        if !S::is_zero(&value) {
+            self.rows.extend_from_slice(row);
+            self.values.push(value);
+        }
+        false
+    }
+
     fn len(&self) -> usize {
         self.values.len()
     }
@@ -800,6 +849,9 @@ struct TreeBag {
     is_root: bool,
     program: BagProgram,
     edges: Vec<TreeEdge>,
+    /// Separator positions toward the parent in this bag's row order (the
+    /// group-sum key of the bag's table; empty at the root).
+    parent_positions: Vec<u32>,
 }
 
 /// A compiled parent→child edge of the tree DP: the separator's positions
@@ -814,6 +866,87 @@ struct TreeEdge {
     key_depths: Vec<u32>,
     /// Deepest key variable (join firing depth).
     depth: usize,
+}
+
+/// A bag's joins plus the constant ⊗-factor of its independent children.
+type BagJoins<'t, V> = (Vec<Join<'t, V>>, V);
+
+/// The joins of one bag against its children's group tables, with the
+/// tables of independent children (empty separator) folded into a constant
+/// ⊗-factor.  `None` when such a child's ⊕-total is zero: no row of the
+/// bag survives.
+fn bag_joins<'t, S: Semiring>(
+    bag: &'t TreeBag,
+    tables: &'t [Option<GroupTable<S::Value>>],
+) -> Option<BagJoins<'t, S::Value>> {
+    let mut joins = Vec::with_capacity(bag.edges.len());
+    let mut initial_acc = S::one();
+    for edge in &bag.edges {
+        let table = tables[edge.child]
+            .as_ref()
+            .expect("children before parents");
+        if edge.key_depths.is_empty() {
+            match table.get(&[]) {
+                Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
+                _ => return None,
+            }
+            continue;
+        }
+        joins.push(Join {
+            depth: edge.depth,
+            key_depths: &edge.key_depths,
+            table,
+        });
+    }
+    Some((joins, initial_acc))
+}
+
+/// Run one bag against its children's group tables — the per-bag step of
+/// every bottom-up pass.  At the root each nonzero row goes to `root`
+/// (which returns `true` to stop); any other bag keeps its nonzero rows.
+/// `pins` fixes depths of the bag to given images.  Returns the bag's rows
+/// (`None` at the root) and their count.
+fn run_bag<S: Semiring>(
+    bag: &TreeBag,
+    index: &StructureIndex,
+    weights: Option<&TupleWeights>,
+    pins: Option<&[Option<u32>]>,
+    tables: &[Option<GroupTable<S::Value>>],
+    root: &mut impl FnMut(&[u32], S::Value) -> bool,
+) -> (Option<BagTable<S::Value>>, usize) {
+    let mut table = BagTable::new(bag.program.elems.len());
+    let mut rows = 0usize;
+    if let Some((joins, initial_acc)) = bag_joins::<S>(bag, tables) {
+        let mut emit = |row: &[u32], acc: S::Value| {
+            if S::is_zero(&acc) {
+                return false;
+            }
+            rows += 1;
+            if bag.is_root {
+                return root(row, acc);
+            }
+            table.keep::<S>(row, acc)
+        };
+        let pins = pins.map(|pins| (pins, None));
+        run_program::<S>(
+            &bag.program,
+            index,
+            weights,
+            &joins,
+            pins,
+            &mut emit,
+            initial_acc,
+        );
+    }
+    ((!bag.is_root).then_some(table), rows)
+}
+
+/// A root sink ⊕-folding every row into `total`, stopping once it absorbs.
+fn sum_into<S: Semiring>(total: &mut S::Value) -> impl FnMut(&[u32], S::Value) -> bool + '_ {
+    move |_, acc| {
+        *total = S::add(total, &acc);
+        S::is_add_absorbing(total)
+    }
 }
 
 /// The kernel tree DP compiled against one `(query, index)` pair: rooted
@@ -841,6 +974,13 @@ impl TreeDpProgram {
             .iter()
             .map(|b| b.iter().copied().collect())
             .collect();
+        // The positions of the separator of bags `t` and `u` in `t`'s order.
+        let separator_in = |t: usize, u: usize| -> Vec<u32> {
+            td.bags[t]
+                .intersection(&td.bags[u])
+                .map(|e| elems_of[t].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
+                .collect()
+        };
         let mut bags = Vec::with_capacity(post.len());
         // A query tuple may lie inside several bags; exactly one bag (the
         // first compiled, i.e. deepest in evaluation order) owns its weight
@@ -850,31 +990,32 @@ impl TreeDpProgram {
             let program = BagProgram::compile_claiming(a, &doms, &elems_of[t], &mut |ordinal| {
                 !std::mem::replace(&mut claimed[ordinal], true)
             });
-            let mut edges = Vec::new();
-            for c in td.tree.neighbors(t).filter(|&c| parent[c] == t) {
-                let separator: Vec<Element> =
-                    td.bags[t].intersection(&td.bags[c]).copied().collect();
-                let child_positions: Vec<u32> = separator
-                    .iter()
-                    .map(|e| elems_of[c].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
-                    .collect();
-                let key_depths: Vec<u32> = separator
-                    .iter()
-                    .map(|e| elems_of[t].iter().position(|x| x == e).expect("sep ⊆ bag") as u32)
-                    .collect();
-                let depth = key_depths.iter().copied().max().unwrap_or(0) as usize;
-                edges.push(TreeEdge {
-                    child: c,
-                    child_positions,
-                    key_depths,
-                    depth,
-                });
-            }
+            let edges = td
+                .tree
+                .neighbors(t)
+                .filter(|&c| parent[c] == t)
+                .map(|c| {
+                    let key_depths = separator_in(t, c);
+                    let depth = key_depths.iter().copied().max().unwrap_or(0) as usize;
+                    TreeEdge {
+                        child: c,
+                        child_positions: separator_in(c, t),
+                        key_depths,
+                        depth,
+                    }
+                })
+                .collect();
+            let is_root = parent[t] == usize::MAX;
             bags.push(TreeBag {
                 id: t,
-                is_root: parent[t] == usize::MAX,
+                is_root,
                 program,
                 edges,
+                parent_positions: if is_root {
+                    Vec::new()
+                } else {
+                    separator_in(t, parent[t])
+                },
             });
         }
         TreeDpProgram {
@@ -921,94 +1062,70 @@ impl TreeDpProgram {
         index: &StructureIndex,
         weights: Option<&TupleWeights>,
     ) -> (S::Value, usize) {
+        let mut total = S::zero();
+        let peak = self.bottom_up::<S>(index, weights, None, None, &mut sum_into::<S>(&mut total));
+        (total, peak)
+    }
+
+    /// The bottom-up pass every evaluation of the tree DP shares: bags in
+    /// children-before-parents order, each run by [`run_bag`] against its
+    /// children's rows group-summed onto their separators, the root's rows
+    /// sent to `root`.  `pins[pos]` pins depths of the bag at position
+    /// `pos`.
+    ///
+    /// With `retained`, every bag's group table is kept there (the
+    /// incremental state) and the pass runs past bags that admit no row.
+    /// Without it, a bag's rows are group-summed only when its parent runs
+    /// and freed right after, and the pass stops at the first empty bag —
+    /// the root then never runs, and no pending rows are summed.  Returns
+    /// the largest row count of any bag.
+    fn bottom_up<S: Semiring>(
+        &self,
+        index: &StructureIndex,
+        weights: Option<&TupleWeights>,
+        pins: Option<&[Vec<Option<u32>>]>,
+        retained: Option<&mut [Option<GroupTable<S::Value>>]>,
+        root: &mut impl FnMut(&[u32], S::Value) -> bool,
+    ) -> usize {
         debug_assert_eq!(index.id(), self.index_id, "program run on a foreign index");
         let mut peak = 0usize;
         if !self.satisfiable {
-            return (S::zero(), peak);
+            return peak;
         }
-        let mut tables: Vec<Option<BagTable<S::Value>>> = (0..self.n_bags).map(|_| None).collect();
-        for bag in &self.bags {
-            let mut group_tables: Vec<GroupTable<S::Value>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = S::one();
-            let mut dead = false;
+        let keep = retained.is_some();
+        let mut local = Vec::new();
+        let tables = match retained {
+            Some(tables) => tables,
+            None => {
+                local.resize_with(self.n_bags, || None);
+                &mut local[..]
+            }
+        };
+        let mut pending: Vec<Option<BagTable<S::Value>>> = Vec::new();
+        pending.resize_with(if keep { 0 } else { self.n_bags }, || None);
+        for (pos, bag) in self.bags.iter().enumerate() {
+            if !keep {
+                for edge in &bag.edges {
+                    let rows = pending[edge.child].take().expect("children before parents");
+                    tables[edge.child] = Some(rows.group_sums::<S>(&edge.child_positions));
+                }
+            }
+            let pins = pins.map(|p| p[pos].as_slice());
+            let (table, rows) = run_bag::<S>(bag, index, weights, pins, tables, root);
+            peak = peak.max(rows);
+            if keep {
+                tables[bag.id] = table.map(|t| t.group_sums::<S>(&bag.parent_positions));
+                continue;
+            }
             for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<S>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    // Independent component: a constant ⊗-factor for every
-                    // row of this bag.
-                    match table.get(&[]) {
-                        Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
-                }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
+                tables[edge.child] = None;
             }
-            let joins: Vec<Join<'_, S::Value>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
-            if bag.is_root {
-                // The root's rows are only ever ⊕-folded — accumulate
-                // directly, early-exiting once the total absorbs.
-                let mut total = S::zero();
-                let mut rows = 0usize;
-                if !dead {
-                    run_program::<S>(
-                        &bag.program,
-                        index,
-                        weights,
-                        &joins,
-                        &mut |_, acc| {
-                            if S::is_zero(&acc) {
-                                return false;
-                            }
-                            rows += 1;
-                            total = S::add(&total, &acc);
-                            S::is_add_absorbing(&total)
-                        },
-                        initial_acc,
-                    );
-                }
-                peak = peak.max(rows);
-                return (total, peak);
+            if rows == 0 {
+                break; // some bag admits nothing
             }
-            let mut table = BagTable {
-                stride: bag.program.elems.len(),
-                rows: Vec::new(),
-                values: Vec::new(),
-            };
-            if !dead {
-                run_program::<S>(
-                    &bag.program,
-                    index,
-                    weights,
-                    &joins,
-                    &mut |row, acc| {
-                        if !S::is_zero(&acc) {
-                            table.rows.extend_from_slice(row);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                    initial_acc,
-                );
-            }
-            peak = peak.max(table.len());
-            if table.len() == 0 {
-                return (S::zero(), peak); // some bag admits nothing
-            }
-            tables[bag.id] = Some(table);
+            pending[bag.id] = table;
         }
-        unreachable!("the root bag is last in children-before-parents order")
+        peak
     }
 }
 
@@ -1051,8 +1168,6 @@ pub struct AnswerProgram {
     /// element order of `bags[bag_pos]` (present in every bag by
     /// construction).
     pin_depths: Vec<Vec<usize>>,
-    /// The root-row positions of the free elements, in declared order.
-    root_free_positions: Vec<u32>,
     /// Sorted candidate images of each free element (prefilter domains).
     free_domains: Vec<Vec<u32>>,
     /// Width of the adjoined (answer) decomposition.
@@ -1095,18 +1210,11 @@ impl AnswerProgram {
                     .collect()
             })
             .collect();
-        let root_free_positions: Vec<u32> = pin_depths
-            .last()
-            .expect("decompositions have at least one bag")
-            .iter()
-            .map(|&d| d as u32)
-            .collect();
         let free_domains = free.iter().map(|&f| doms.domain(f).to_vec()).collect();
         AnswerProgram {
             program,
             free: free.to_vec(),
             pin_depths,
-            root_free_positions,
             free_domains,
             width,
         }
@@ -1115,11 +1223,6 @@ impl AnswerProgram {
     /// The identity of the index this program was compiled against.
     pub fn index_id(&self) -> u64 {
         self.program.index_id
-    }
-
-    /// Number of free elements (answer columns).
-    pub fn free_count(&self) -> usize {
-        self.free.len()
     }
 
     /// Width of the adjoined decomposition the DP runs over (the counting
@@ -1135,93 +1238,21 @@ impl AnswerProgram {
     /// [`AnswerProgram::cursor`] when order matters.
     pub fn answer_table<S: Semiring>(&self, index: &StructureIndex) -> GroupTable<S::Value> {
         debug_assert!(!S::WEIGHTED, "answer tables are unweighted-only");
-        let p = &self.program;
-        debug_assert_eq!(index.id(), p.index_id, "program run on a foreign index");
         let mut out: GroupTable<S::Value> = GroupTable::with_capacity(self.free.len(), 16);
-        if !p.satisfiable {
-            return out;
-        }
-        let mut tables: Vec<Option<BagTable<S::Value>>> = (0..p.n_bags).map(|_| None).collect();
-        for bag in &p.bags {
-            let mut group_tables: Vec<GroupTable<S::Value>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = S::one();
-            let mut dead = false;
-            for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<S>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    match table.get(&[]) {
-                        Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
-                }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
-            }
-            let joins: Vec<Join<'_, S::Value>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
-            if bag.is_root {
-                // Root rows are grouped by free assignment instead of being
-                // ⊕-folded into a scalar; no absorbing early exit — every
-                // group must be discovered.
-                let mut key: Vec<u32> = Vec::with_capacity(self.free.len());
-                if !dead {
-                    run_program::<S>(
-                        &bag.program,
-                        index,
-                        None,
-                        &joins,
-                        &mut |row, acc| {
-                            if !S::is_zero(&acc) {
-                                key.clear();
-                                key.extend(
-                                    self.root_free_positions.iter().map(|&p| row[p as usize]),
-                                );
-                                out.merge(&key, acc, |slot, v| *slot = S::add(slot, &v));
-                            }
-                            false
-                        },
-                        initial_acc,
-                    );
-                }
-                return out;
-            }
-            let mut table = BagTable {
-                stride: bag.program.elems.len(),
-                rows: Vec::new(),
-                values: Vec::new(),
-            };
-            if !dead {
-                run_program::<S>(
-                    &bag.program,
-                    index,
-                    None,
-                    &joins,
-                    &mut |row, acc| {
-                        if !S::is_zero(&acc) {
-                            table.rows.extend_from_slice(row);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                    initial_acc,
-                );
-            }
-            if table.len() == 0 {
-                return out; // some bag admits nothing: no answers
-            }
-            tables[bag.id] = Some(table);
-        }
-        unreachable!("the root bag is last in children-before-parents order")
+        let mut key: Vec<u32> = Vec::with_capacity(self.free.len());
+        // The root bag is last in children-before-parents order.
+        let root_free = self.pin_depths.last().expect("at least one bag");
+        // Root rows are grouped by free assignment instead of being
+        // ⊕-folded into a scalar; no absorbing early exit — every group
+        // must be discovered.
+        self.program
+            .bottom_up::<S>(index, None, None, None, &mut |row, acc| {
+                key.clear();
+                key.extend(root_free.iter().map(|&p| row[p]));
+                out.merge(&key, acc, |slot, v| *slot = S::add(slot, &v));
+                false
+            });
+        out
     }
 
     /// Number of distinct answers (free-variable assignments extendable to
@@ -1234,108 +1265,26 @@ impl AnswerProgram {
     /// of the declared free order)?  One bottom-up pass with the prefix
     /// pinned in every bag — the certificate behind each cursor step.
     fn pinned_decide(&self, index: &StructureIndex, prefix: &[u32]) -> bool {
-        type B = BoolSemiring;
-        let p = &self.program;
-        if !p.satisfiable {
-            return false;
-        }
-        let mut tables: Vec<Option<BagTable<bool>>> = (0..p.n_bags).map(|_| None).collect();
-        for (pos, bag) in p.bags.iter().enumerate() {
-            let mut group_tables: Vec<GroupTable<bool>> = Vec::with_capacity(bag.edges.len());
-            let mut join_specs: Vec<(usize, &[u32])> = Vec::with_capacity(bag.edges.len());
-            let mut initial_acc = true;
-            let mut dead = false;
-            for edge in &bag.edges {
-                let child = tables[edge.child].take().expect("children before parents");
-                let table = child.group_sums::<B>(&edge.child_positions);
-                if edge.key_depths.is_empty() {
-                    match table.get(&[]) {
-                        Some(sum) if !B::is_zero(sum) => initial_acc = B::mul(&initial_acc, sum),
-                        _ => dead = true,
-                    }
-                    continue;
+        let pins: Vec<Vec<Option<u32>>> = self
+            .program
+            .bags
+            .iter()
+            .zip(&self.pin_depths)
+            .map(|(bag, depths)| {
+                let mut pins = vec![None; bag.program.elems.len()];
+                for (&d, &v) in depths.iter().zip(prefix) {
+                    pins[d] = Some(v);
                 }
-                join_specs.push((edge.depth, &edge.key_depths));
-                group_tables.push(table);
-            }
-            let joins: Vec<Join<'_, bool>> = join_specs
-                .into_iter()
-                .zip(group_tables.iter())
-                .map(|((depth, key_depths), table)| Join {
-                    depth,
-                    key_depths: key_depths.to_vec(),
-                    table,
-                })
-                .collect();
-            let mut pins: Vec<Option<u32>> = vec![None; bag.program.elems.len()];
-            for (j, &v) in prefix.iter().enumerate() {
-                pins[self.pin_depths[pos][j]] = Some(v);
-            }
-            let mut joins_at: Vec<Vec<usize>> = vec![Vec::new(); bag.program.elems.len().max(1)];
-            for (j, join) in joins.iter().enumerate() {
-                joins_at[join.depth].push(j);
-            }
-            let mut row = vec![0u32; bag.program.elems.len()];
-            let mut args = Vec::with_capacity(bag.program.max_arity);
-            let mut key = Vec::new();
-            if bag.is_root {
-                let mut found = false;
-                if !dead {
-                    enumerate_pinned::<B>(
-                        &bag.program,
-                        index,
-                        &joins_at,
-                        &joins,
-                        &pins,
-                        None,
-                        0,
-                        &mut row,
-                        &mut args,
-                        &mut key,
-                        &initial_acc,
-                        &mut |_, acc| {
-                            if acc {
-                                found = true;
-                            }
-                            found
-                        },
-                    );
-                }
-                return found;
-            }
-            let mut table = BagTable {
-                stride: bag.program.elems.len(),
-                rows: Vec::new(),
-                values: Vec::new(),
-            };
-            if !dead {
-                enumerate_pinned::<B>(
-                    &bag.program,
-                    index,
-                    &joins_at,
-                    &joins,
-                    &pins,
-                    None,
-                    0,
-                    &mut row,
-                    &mut args,
-                    &mut key,
-                    &initial_acc,
-                    &mut |r, acc| {
-                        if acc {
-                            table.rows.extend_from_slice(r);
-                            table.values.push(acc);
-                        }
-                        false
-                    },
-                );
-            }
-            if table.len() == 0 {
-                return false; // some bag admits nothing under these pins
-            }
-            tables[bag.id] = Some(table);
-        }
-        unreachable!("the root bag is last in children-before-parents order")
+                pins
+            })
+            .collect();
+        let mut found = false;
+        self.program
+            .bottom_up::<BoolSemiring>(index, None, Some(&pins), None, &mut |_, _| {
+                found = true;
+                true
+            });
+        found
     }
 
     /// A bounded-delay cursor over the answers, in lexicographically
@@ -1484,11 +1433,6 @@ impl<V> TreeIncrementalState<V> {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// The retained root aggregate.
-    pub fn root_value(&self) -> &V {
-        &self.root_value
-    }
 }
 
 /// Metering of one [`TreeDpProgram::eval_retained`] call: how much of the
@@ -1506,115 +1450,6 @@ pub struct RetainedEvalStats {
     pub bags_recomputed: usize,
     /// Largest bag table materialized by this call.
     pub peak_table: usize,
-}
-
-/// The join environment of one bag against the retained child tables:
-/// borrow-joins plus the folded constant factor of independent components.
-struct RetainedJoins<'t, V> {
-    joins: Vec<Join<'t, V>>,
-    initial_acc: V,
-    /// Some independent child has ⊕-total zero — every row of this bag is
-    /// dead.
-    dead: bool,
-}
-
-fn retained_join_setup<'t, S: Semiring>(
-    bag: &TreeBag,
-    edge_tables: &'t [Option<GroupTable<S::Value>>],
-) -> RetainedJoins<'t, S::Value> {
-    let mut joins = Vec::with_capacity(bag.edges.len());
-    let mut initial_acc = S::one();
-    let mut dead = false;
-    for edge in &bag.edges {
-        let table = edge_tables[edge.child]
-            .as_ref()
-            .expect("children before parents");
-        if edge.key_depths.is_empty() {
-            match table.get(&[]) {
-                Some(sum) if !S::is_zero(sum) => initial_acc = S::mul(&initial_acc, sum),
-                _ => dead = true,
-            }
-            continue;
-        }
-        joins.push(Join {
-            depth: edge.depth,
-            key_depths: edge.key_depths.clone(),
-            table,
-        });
-    }
-    RetainedJoins {
-        joins,
-        initial_acc,
-        dead,
-    }
-}
-
-/// What one full bag evaluation produced.
-enum BagOutcome<V> {
-    /// The root's ⊕-total.
-    Root(V),
-    /// A non-root bag's group table toward its parent edge.
-    Table(GroupTable<V>),
-}
-
-/// Fully evaluate one bag against the retained child tables: the root
-/// folds to its total, every other bag materializes its rows and
-/// group-sums them onto the parent separator.  Unlike the one-shot
-/// [`TreeDpProgram::eval`], an empty table does **not** abort the caller —
-/// later refreshes need every bag's table to exist.
-fn compute_bag_retained<S: Semiring>(
-    bag: &TreeBag,
-    index: &StructureIndex,
-    edge_tables: &[Option<GroupTable<S::Value>>],
-    parent_positions: Option<&[u32]>,
-) -> (BagOutcome<S::Value>, usize) {
-    let setup = retained_join_setup::<S>(bag, edge_tables);
-    if bag.is_root {
-        let mut total = S::zero();
-        let mut rows = 0usize;
-        if !setup.dead {
-            run_program::<S>(
-                &bag.program,
-                index,
-                None,
-                &setup.joins,
-                &mut |_, acc| {
-                    if S::is_zero(&acc) {
-                        return false;
-                    }
-                    rows += 1;
-                    total = S::add(&total, &acc);
-                    S::is_add_absorbing(&total)
-                },
-                setup.initial_acc,
-            );
-        }
-        return (BagOutcome::Root(total), rows);
-    }
-    let mut table = BagTable {
-        stride: bag.program.elems.len(),
-        rows: Vec::new(),
-        values: Vec::new(),
-    };
-    if !setup.dead {
-        run_program::<S>(
-            &bag.program,
-            index,
-            None,
-            &setup.joins,
-            &mut |row, acc| {
-                if !S::is_zero(&acc) {
-                    table.rows.extend_from_slice(row);
-                    table.values.push(acc);
-                }
-                false
-            },
-            setup.initial_acc,
-        );
-    }
-    let rows = table.len();
-    let positions = parent_positions.expect("non-root bags have a parent edge");
-    (BagOutcome::Table(table.group_sums::<S>(positions)), rows)
 }
 
 /// Whether two group tables agree on every key with a nonzero value
@@ -1763,11 +1598,11 @@ enum PatchTarget<'a, V> {
 /// enumerate the rows that bound the constraint to it (they were valid
 /// before the round, the other checks are untouched) and ⊖ their
 /// contributions; for every inserted tuple, enumerate and ⊕.  Records the
-/// pre-patch value of every touched key and sets `changed` only when some
-/// key's value genuinely moved (modulo zeros), so a round that cancels
-/// out stops propagating to the parent.  Returns `false` when a
-/// subtraction cannot be answered exactly — the caller must fully
-/// recompute the bag (the half-patched target is discarded).
+/// pre-patch value of every touched key and returns whether some key's
+/// value genuinely moved (modulo zeros), so a round that cancels out stops
+/// propagating to the parent.  Returns `None` when a subtraction cannot be
+/// answered exactly — the caller must fully recompute the bag (the
+/// half-patched target is discarded).
 fn patch_bag<S: Semiring>(
     bag: &TreeBag,
     index: &StructureIndex,
@@ -1775,24 +1610,14 @@ fn patch_bag<S: Semiring>(
     pinned_at: (usize, usize),
     edge_tables: &[Option<GroupTable<S::Value>>],
     mut target: PatchTarget<'_, S::Value>,
-    changed: &mut bool,
-) -> bool {
-    let setup = retained_join_setup::<S>(bag, edge_tables);
-    if setup.dead {
+) -> Option<bool> {
+    let Some((joins, initial_acc)) = bag_joins::<S>(bag, edge_tables) else {
         // Every row of this bag is annihilated by an empty independent
         // component, before and after the round alike.
-        *changed = false;
-        return true;
-    }
-    let mut joins_at: Vec<Vec<usize>> = vec![Vec::new(); bag.program.elems.len().max(1)];
-    for (j, join) in setup.joins.iter().enumerate() {
-        joins_at[join.depth].push(j);
-    }
+        return Some(false);
+    };
     let c = &bag.program.checks[pinned_at.0][pinned_at.1];
     let n = bag.program.elems.len();
-    let mut row = vec![0u32; n];
-    let mut args = Vec::with_capacity(bag.program.max_arity);
-    let mut key = Vec::new();
     let mut pkey: Vec<u32> = Vec::new();
     // Pre-patch values of the keys this round touches (`None` = the key
     // was absent), recorded on first touch — O(delta), not O(table).
@@ -1801,105 +1626,62 @@ fn patch_bag<S: Semiring>(
         PatchTarget::Root(total) => Some((*total).clone()),
         PatchTarget::Edge { .. } => None,
     };
-    let mut ok = true;
-    for (sym, _, tuple) in round.deletions() {
+    // Deleted tuples retract their rows (the deleted tuple itself is no
+    // longer in the index, so its check is skipped); inserted tuples add.
+    let deleted = round.deletions().iter().map(|(sym, _, t)| (sym, t, true));
+    let inserted = round.insertions().iter().map(|(sym, t)| (sym, t, false));
+    for (sym, tuple, retract) in deleted.chain(inserted) {
         if *sym != c.sym {
             continue;
         }
         let Some(pins) = pin_tuple(c, tuple, n) else {
             continue;
         };
-        enumerate_pinned::<S>(
+        let mut ok = true;
+        run_program::<S>(
             &bag.program,
             index,
-            &joins_at,
-            &setup.joins,
-            &pins,
-            Some(pinned_at),
-            0,
-            &mut row,
-            &mut args,
-            &mut key,
-            &setup.initial_acc,
+            None,
+            &joins,
+            Some((&pins, retract.then_some(pinned_at))),
             &mut |r, acc| {
                 if S::is_zero(&acc) {
                     return false;
                 }
-                let applied = match &mut target {
+                let slot = match &mut target {
                     PatchTarget::Edge { table, positions } => {
                         pkey.clear();
                         pkey.extend(positions.iter().map(|&p| r[p as usize]));
                         if !pre.iter().any(|(k, _)| k == &pkey) {
                             pre.push((pkey.clone(), table.get(&pkey).cloned()));
                         }
-                        match table.get_mut(&pkey) {
-                            Some(slot) => match S::sub(slot, &acc) {
-                                Some(left) => {
-                                    *slot = left;
-                                    true
-                                }
-                                None => false,
-                            },
-                            None => false,
+                        if !retract {
+                            table.merge(&pkey, acc, |a, v| *a = S::add(a, &v));
+                            return false;
                         }
+                        table.get_mut(&pkey)
                     }
-                    PatchTarget::Root(total) => match S::sub(total, &acc) {
-                        Some(left) => {
-                            **total = left;
-                            true
-                        }
-                        None => false,
-                    },
+                    PatchTarget::Root(total) if !retract => {
+                        **total = S::add(total, &acc);
+                        return false;
+                    }
+                    PatchTarget::Root(total) => Some(&mut **total),
                 };
-                if !applied {
-                    ok = false;
+                match slot.and_then(|slot| S::sub(slot, &acc).map(|left| *slot = left)) {
+                    Some(()) => false,
+                    None => {
+                        ok = false;
+                        true
+                    }
                 }
-                !applied
             },
+            initial_acc.clone(),
         );
         if !ok {
-            return false;
+            return None;
         }
     }
-    for (sym, tuple) in round.insertions() {
-        if *sym != c.sym {
-            continue;
-        }
-        let Some(pins) = pin_tuple(c, tuple, n) else {
-            continue;
-        };
-        enumerate_pinned::<S>(
-            &bag.program,
-            index,
-            &joins_at,
-            &setup.joins,
-            &pins,
-            None,
-            0,
-            &mut row,
-            &mut args,
-            &mut key,
-            &setup.initial_acc,
-            &mut |r, acc| {
-                if S::is_zero(&acc) {
-                    return false;
-                }
-                match &mut target {
-                    PatchTarget::Edge { table, positions } => {
-                        pkey.clear();
-                        pkey.extend(positions.iter().map(|&p| r[p as usize]));
-                        if !pre.iter().any(|(k, _)| k == &pkey) {
-                            pre.push((pkey.clone(), table.get(&pkey).cloned()));
-                        }
-                        table.merge(&pkey, acc, |a, v| *a = S::add(a, &v));
-                    }
-                    PatchTarget::Root(total) => **total = S::add(total, &acc),
-                }
-                false
-            },
-        );
-    }
-    *changed = match (&target, pre_root) {
+    Some(match (&target, pre_root) {
         (PatchTarget::Root(total), Some(before)) => **total != before,
         _ => {
             let PatchTarget::Edge { table, .. } = &target else {
@@ -1911,50 +1693,10 @@ fn patch_bag<S: Semiring>(
                 now != before
             })
         }
-    };
-    true
+    })
 }
 
 impl TreeDpProgram {
-    /// Per bag id, the separator positions (in the bag's own row order)
-    /// toward its parent edge; `None` for the root.
-    fn parent_positions(&self) -> Vec<Option<&[u32]>> {
-        let mut out: Vec<Option<&[u32]>> = vec![None; self.n_bags];
-        for bag in &self.bags {
-            for e in &bag.edges {
-                out[e.child] = Some(&e.child_positions);
-            }
-        }
-        out
-    }
-
-    /// Build the retained state from scratch (every bag evaluated once).
-    fn build_retained<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        stats: &mut RetainedEvalStats,
-    ) -> TreeIncrementalState<S::Value> {
-        let mut st = TreeIncrementalState {
-            version: index.version(),
-            epoch: index.domain_epoch(),
-            edge_tables: (0..self.n_bags).map(|_| None).collect(),
-            root_value: S::zero(),
-        };
-        stats.full_rebuild = true;
-        let parent_pos = self.parent_positions();
-        for bag in &self.bags {
-            let (out, rows) =
-                compute_bag_retained::<S>(bag, index, &st.edge_tables, parent_pos[bag.id]);
-            stats.peak_table = stats.peak_table.max(rows);
-            stats.bags_recomputed += 1;
-            match out {
-                BagOutcome::Root(v) => st.root_value = v,
-                BagOutcome::Table(t) => st.edge_tables[bag.id] = Some(t),
-            }
-        }
-        st
-    }
-
     /// The incremental sum-of-products: like [`TreeDpProgram::eval`], but
     /// the per-edge group tables live in `state` across calls and only the
     /// bags affected by the index's mutation log since `state`'s version
@@ -1989,10 +1731,26 @@ impl TreeDpProgram {
             _ => None,
         };
         let Some(muts) = muts else {
-            let st = self.build_retained::<S>(index, &mut stats);
-            let value = st.root_value.clone();
-            *state = Some(st);
-            return (value, stats);
+            // Build from scratch: every bag evaluated once, every table kept.
+            let mut edge_tables: Vec<Option<GroupTable<S::Value>>> = Vec::new();
+            edge_tables.resize_with(self.n_bags, || None);
+            let mut root_value = S::zero();
+            stats.peak_table = self.bottom_up::<S>(
+                index,
+                None,
+                None,
+                Some(&mut edge_tables),
+                &mut sum_into::<S>(&mut root_value),
+            );
+            stats.full_rebuild = true;
+            stats.bags_recomputed = self.bags.len();
+            *state = Some(TreeIncrementalState {
+                version: index.version(),
+                epoch: index.domain_epoch(),
+                edge_tables,
+                root_value: root_value.clone(),
+            });
+            return (root_value, stats);
         };
         let st = state.as_mut().expect("mutations_since implies state");
         let mut touched: Vec<SymbolId> = Vec::new();
@@ -2009,7 +1767,6 @@ impl TreeDpProgram {
             return (st.root_value.clone(), stats);
         }
         let single_round = muts.len() == 1;
-        let parent_pos = self.parent_positions();
         let mut changed = vec![false; self.n_bags];
         for bag in &self.bags {
             let child_changed = bag.edges.iter().any(|e| changed[e.child]);
@@ -2044,21 +1801,16 @@ impl TreeDpProgram {
                     Some(st.edge_tables[bag.id].take().expect("built state"))
                 };
                 let mut root = st.root_value.clone();
-                let mut any = false;
-                let target = match (&mut own, parent_pos[bag.id]) {
-                    (Some(table), Some(positions)) => PatchTarget::Edge { table, positions },
-                    _ => PatchTarget::Root(&mut root),
+                let target = match &mut own {
+                    Some(table) => PatchTarget::Edge {
+                        table,
+                        positions: &bag.parent_positions,
+                    },
+                    None => PatchTarget::Root(&mut root),
                 };
-                let ok = patch_bag::<S>(
-                    bag,
-                    index,
-                    &muts[0],
-                    affected[0],
-                    &st.edge_tables,
-                    target,
-                    &mut any,
-                );
-                if ok {
+                let patched =
+                    patch_bag::<S>(bag, index, &muts[0], affected[0], &st.edge_tables, target);
+                if let Some(any) = patched {
                     if bag.is_root {
                         st.root_value = root;
                     } else {
@@ -2072,16 +1824,24 @@ impl TreeDpProgram {
                 // table can no longer anchor change detection.
                 old_untrusted = true;
             }
-            let (out, rows) =
-                compute_bag_retained::<S>(bag, index, &st.edge_tables, parent_pos[bag.id]);
+            let mut total = S::zero();
+            let (out, rows) = run_bag::<S>(
+                bag,
+                index,
+                None,
+                None,
+                &st.edge_tables,
+                &mut sum_into::<S>(&mut total),
+            );
             stats.peak_table = stats.peak_table.max(rows);
             stats.bags_recomputed += 1;
             match out {
-                BagOutcome::Root(v) => {
-                    st.root_value = v;
+                None => {
+                    st.root_value = total;
                     changed[bag.id] = true;
                 }
-                BagOutcome::Table(t) => {
+                Some(rows) => {
+                    let t = rows.group_sums::<S>(&bag.parent_positions);
                     changed[bag.id] = old_untrusted
                         || match &st.edge_tables[bag.id] {
                             Some(old) => !tables_agree_modulo_zeros::<S>(old, &t),
@@ -2094,43 +1854,6 @@ impl TreeDpProgram {
         st.version = index.version();
         (st.root_value.clone(), stats)
     }
-}
-
-/// Decide `HOM(A, B)` by the kernel tree DP over a valid tree
-/// decomposition of `A`'s Gaifman graph (see the module docs; the
-/// reference implementation is [`crate::treedec::hom_via_tree_decomposition`]).
-pub fn hom_via_tree_decomposition_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-) -> TreeDpRun {
-    TreeDpProgram::compile(a, index, td).decide(index)
-}
-
-/// Count homomorphisms from `a` into the indexed target by the kernel tree
-/// DP (group-sum separator joins; reference:
-/// [`crate::treedec::count_hom_via_tree_decomposition`]).
-pub fn count_hom_via_tree_decomposition_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-) -> TreeDpRun {
-    TreeDpProgram::compile(a, index, td).count(index)
-}
-
-/// Aggregate over a tree decomposition in an arbitrary semiring with
-/// per-tuple weights — `min_cost` / `max_weight` are
-/// `aggregate_via_tree_decomposition_indexed::<MinCostSemiring>` /
-/// `::<MaxWeightSemiring>`.
-pub fn aggregate_via_tree_decomposition_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    td: &TreeDecomposition,
-    weights: &TupleWeights,
-) -> S::Value {
-    TreeDpProgram::compile(a, index, td)
-        .eval::<S>(index, Some(weights))
-        .0
 }
 
 /// One step of a compiled staircase sweep.
@@ -2252,28 +1975,16 @@ impl StairProgram {
             return (S::zero(), peak);
         }
         // The frontier: rows of `stride` elements, one value per row.
-        let mut frontier: BagTable<S::Value> = BagTable {
-            stride: self.init.elems.len(),
-            rows: Vec::new(),
-            values: Vec::new(),
-        };
-        {
-            let f = &mut frontier;
-            run_program::<S>(
-                &self.init,
-                index,
-                weights,
-                &[],
-                &mut |row, acc| {
-                    if !S::is_zero(&acc) {
-                        f.rows.extend_from_slice(row);
-                        f.values.push(acc);
-                    }
-                    false
-                },
-                S::one(),
-            );
-        }
+        let mut frontier = BagTable::new(self.init.elems.len());
+        run_program::<S>(
+            &self.init,
+            index,
+            weights,
+            &[],
+            None,
+            &mut |row, acc| frontier.keep::<S>(row, acc),
+            S::one(),
+        );
         peak = peak.max(frontier.len());
         if frontier.len() == 0 {
             return (S::zero(), peak);
@@ -2299,11 +2010,7 @@ impl StairProgram {
                     // full rows, so no merging is needed.
                     let prefix_len = *prefix_len;
                     let new_stride = program.elems.len();
-                    let mut new_frontier: BagTable<S::Value> = BagTable {
-                        stride: new_stride,
-                        rows: Vec::new(),
-                        values: Vec::new(),
-                    };
+                    let mut new_frontier = BagTable::new(new_stride);
                     let mut row = vec![0u32; new_stride];
                     let mut args = Vec::with_capacity(program.max_arity);
                     let mut key = Vec::new();
@@ -2324,13 +2031,7 @@ impl StairProgram {
                             &mut key,
                             &frontier.values[i],
                             &mut scratch,
-                            &mut |full, acc| {
-                                if !S::is_zero(&acc) {
-                                    nf.rows.extend_from_slice(full);
-                                    nf.values.push(acc);
-                                }
-                                false
-                            },
+                            &mut |full, acc| nf.keep::<S>(full, acc),
                         );
                     }
                     frontier = new_frontier;
@@ -2350,45 +2051,6 @@ impl StairProgram {
         }
         (total, peak)
     }
-}
-
-/// Decide `HOM(A, B)` by sweeping a staircase path decomposition with flat
-/// frontier rows (reference: [`crate::pathdp::hom_via_staircase`]).
-///
-/// Forget steps project the frontier onto the surviving positions and
-/// ⊕-merge collisions through the packed-key [`GroupTable`] (the separator
-/// in staircase form is the smaller bag itself); introduce steps extend
-/// each row through a [`BagProgram`] whose first depths are pinned to the
-/// row.
-pub fn hom_via_staircase_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-) -> PathDpReport {
-    StairProgram::compile(a, index, stair).run(index)
-}
-
-/// Count homomorphisms by the kernel staircase sweep — the pathwidth
-/// tier's counting entry point (checked arithmetic, typed overflow).
-pub fn count_via_staircase_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-) -> Nat {
-    StairProgram::compile(a, index, stair).count(index)
-}
-
-/// Aggregate over a staircase sweep in an arbitrary semiring with
-/// per-tuple weights.
-pub fn aggregate_via_staircase_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    stair: &PathDecomposition,
-    weights: &TupleWeights,
-) -> S::Value {
-    StairProgram::compile(a, index, stair)
-        .eval::<S>(index, Some(weights))
-        .0
 }
 
 /// The forest topology and per-node constraints of a compiled forest
@@ -2589,39 +2251,6 @@ impl ForestProgram {
     }
 }
 
-/// Count homomorphisms by the kernel sum–product recursion over an
-/// elimination forest of `a` (reference:
-/// [`crate::treedepth::count_with_forest`]).
-pub fn count_with_forest_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-) -> ForestRun {
-    ForestProgram::compile(a, index, forest).count(index)
-}
-
-/// Decide `HOM(A, B)` by the same recursion with first-witness early exit
-/// — the kernel decision procedure licensed by bounded tree depth.
-pub fn hom_via_forest_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-) -> ForestRun {
-    ForestProgram::compile(a, index, forest).decide(index)
-}
-
-/// Aggregate over an elimination forest in an arbitrary semiring with
-/// per-tuple weights.
-pub fn aggregate_with_forest_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    forest: &EliminationForest,
-    weights: &TupleWeights,
-) -> S::Value {
-    let mut assignments = 0u64;
-    ForestProgram::compile(a, index, forest).eval::<S>(index, Some(weights), &mut assignments)
-}
-
 /// Statistics of one kernel backtracking search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelSearchStats {
@@ -2750,6 +2379,7 @@ impl SearchProgram {
             index,
             weights,
             &[],
+            None,
             &mut |_, acc| {
                 stats.assignments += 1;
                 if S::is_zero(&acc) {
@@ -2762,30 +2392,6 @@ impl SearchProgram {
         );
         (total, stats)
     }
-}
-
-/// The structure-agnostic kernel fallback: the whole query compiled as a
-/// single [`BagProgram`] searched for a first complete row.  (Reference:
-/// the backtracking searches of [`crate::backtrack::BacktrackSolver`] and
-/// [`cq_structures::find_homomorphism`].)
-pub fn find_hom_indexed(
-    a: &Structure,
-    index: &StructureIndex,
-    fail_first: bool,
-) -> (Option<Vec<Element>>, KernelSearchStats) {
-    SearchProgram::compile(a, index, fail_first).run(index)
-}
-
-/// Aggregate over all homomorphisms by exhaustive (fail-first ordered)
-/// search in an arbitrary semiring — the no-structural-guarantee tier.
-pub fn aggregate_via_search_indexed<S: Semiring>(
-    a: &Structure,
-    index: &StructureIndex,
-    weights: &TupleWeights,
-) -> S::Value {
-    SearchProgram::compile(a, index, true)
-        .aggregate::<S>(index, Some(weights))
-        .0
 }
 
 /// Enumerate the valid assignments of one bag as flat rows over the sorted
@@ -2806,6 +2412,7 @@ pub fn bag_rows_indexed(
             index,
             None,
             &[],
+            None,
             &mut |row, _| {
                 rows.extend_from_slice(row);
                 false
@@ -2890,9 +2497,9 @@ mod tests {
         for (a, b) in pairs() {
             let (_, td) = treewidth_of_structure(&a);
             let index = StructureIndex::new(&b);
-            let decide = hom_via_tree_decomposition_indexed(&a, &index, &td);
+            let decide = TreeDpProgram::compile(&a, &index, &td).decide(&index);
             assert_eq!(decide.exists, homomorphism_exists(&a, &b), "{a} -> {b}");
-            let count = count_hom_via_tree_decomposition_indexed(&a, &index, &td);
+            let count = TreeDpProgram::compile(&a, &index, &td).count(&index);
             assert_eq!(
                 count.count,
                 count_homomorphisms_bruteforce(&a, &b),
@@ -2907,7 +2514,7 @@ mod tests {
             let (_, pd) = pathwidth_of_structure(&a);
             let stair = pd.normalize_staircase();
             let index = StructureIndex::new(&b);
-            let kernel = hom_via_staircase_indexed(&a, &index, &stair);
+            let kernel = StairProgram::compile(&a, &index, &stair).run(&index);
             let reference = crate::pathdp::hom_via_staircase(&a, &b, &stair);
             assert_eq!(kernel.exists, reference.exists, "{a} -> {b}");
             assert_eq!(kernel.bags, reference.bags);
@@ -2930,7 +2537,7 @@ mod tests {
             let stair = pd.normalize_staircase();
             let index = StructureIndex::new(&b);
             assert_eq!(
-                count_via_staircase_indexed(&a, &index, &stair),
+                StairProgram::compile(&a, &index, &stair).count(&index),
                 count_homomorphisms_bruteforce(&a, &b),
                 "{a} -> {b}"
             );
@@ -2943,13 +2550,13 @@ mod tests {
             let g = gaifman_graph(&a);
             let (_, forest) = treedepth_exact(&g);
             let index = StructureIndex::new(&b);
-            let count = count_with_forest_indexed(&a, &index, &forest);
+            let count = ForestProgram::compile(&a, &index, &forest).count(&index);
             assert_eq!(
                 count.count,
                 count_homomorphisms_bruteforce(&a, &b),
                 "{a} -> {b}"
             );
-            let decide = hom_via_forest_indexed(&a, &index, &forest);
+            let decide = ForestProgram::compile(&a, &index, &forest).decide(&index);
             assert_eq!(decide.exists, homomorphism_exists(&a, &b), "{a} -> {b}");
         }
     }
@@ -3044,36 +2651,48 @@ mod tests {
             let (_, forest) = treedepth_exact(&g);
 
             assert_eq!(
-                aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
-                    &a, &index, &td, &weights
-                ),
+                TreeDpProgram::compile(&a, &index, &td)
+                    .eval::<MinCostSemiring>(&index, Some(&weights))
+                    .0,
                 expected_min,
                 "tree min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_tree_decomposition_indexed::<MaxWeightSemiring>(
-                    &a, &index, &td, &weights
-                ),
+                TreeDpProgram::compile(&a, &index, &td)
+                    .eval::<MaxWeightSemiring>(&index, Some(&weights))
+                    .0,
                 expected_max,
                 "tree max-weight on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_staircase_indexed::<MinCostSemiring>(&a, &index, &stair, &weights),
+                StairProgram::compile(&a, &index, &stair)
+                    .eval::<MinCostSemiring>(&index, Some(&weights))
+                    .0,
                 expected_min,
                 "stair min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_with_forest_indexed::<MinCostSemiring>(&a, &index, &forest, &weights),
+                ForestProgram::compile(&a, &index, &forest).eval::<MinCostSemiring>(
+                    &index,
+                    Some(&weights),
+                    &mut 0
+                ),
                 expected_min,
                 "forest min-cost on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_with_forest_indexed::<MaxWeightSemiring>(&a, &index, &forest, &weights),
+                ForestProgram::compile(&a, &index, &forest).eval::<MaxWeightSemiring>(
+                    &index,
+                    Some(&weights),
+                    &mut 0
+                ),
                 expected_max,
                 "forest max-weight on {a} -> {b}"
             );
             assert_eq!(
-                aggregate_via_search_indexed::<MaxWeightSemiring>(&a, &index, &weights),
+                SearchProgram::compile(&a, &index, true)
+                    .aggregate::<MaxWeightSemiring>(&index, Some(&weights))
+                    .0,
                 expected_max,
                 "search max-weight on {a} -> {b}"
             );
@@ -3091,12 +2710,12 @@ mod tests {
         let k64 = families::clique(64);
         let index = StructureIndex::new(&k64);
         let (_, td) = treewidth_of_structure(&p12);
-        let run = count_hom_via_tree_decomposition_indexed(&p12, &index, &td);
+        let run = TreeDpProgram::compile(&p12, &index, &td).count(&index);
         assert_eq!(run.count, Nat::Overflow);
         assert!(run.exists, "overflowed counts still certify existence");
         let (_, pd) = pathwidth_of_structure(&p12);
         assert_eq!(
-            count_via_staircase_indexed(&p12, &index, &pd.normalize_staircase()),
+            StairProgram::compile(&p12, &index, &pd.normalize_staircase()).count(&index),
             Nat::Overflow
         );
 
@@ -3108,7 +2727,7 @@ mod tests {
         let star_index = StructureIndex::new(&k100);
         let g = gaifman_graph(&star);
         let (_, forest) = treedepth_exact(&g);
-        let run = count_with_forest_indexed(&star, &star_index, &forest);
+        let run = ForestProgram::compile(&star, &star_index, &forest).count(&star_index);
         assert_eq!(run.count, Nat::Overflow);
         assert!(run.exists);
 
@@ -3116,7 +2735,9 @@ mod tests {
         let p2 = families::path(2);
         let (_, td2) = treewidth_of_structure(&p2);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&p2, &index, &td2).count,
+            TreeDpProgram::compile(&p2, &index, &td2)
+                .count(&index)
+                .count,
             64 * 63
         );
     }
@@ -3152,7 +2773,7 @@ mod tests {
         for (a, b) in pairs() {
             let index = StructureIndex::new(&b);
             for fail_first in [true, false] {
-                let (witness, _) = find_hom_indexed(&a, &index, fail_first);
+                let (witness, _) = SearchProgram::compile(&a, &index, fail_first).run(&index);
                 assert_eq!(witness.is_some(), homomorphism_exists(&a, &b), "{a} -> {b}");
                 if let Some(h) = witness {
                     assert!(cq_structures::is_homomorphism(&a, &b, &h), "{a} -> {b}");
@@ -3180,7 +2801,7 @@ mod tests {
         for e in 0..q.universe_size() {
             assert_eq!(doms.domain(e), &[e as u32], "colour pins element {e}");
         }
-        let (witness, stats) = find_hom_indexed(&q, &index, true);
+        let (witness, stats) = SearchProgram::compile(&q, &index, true).run(&index);
         assert!(witness.is_some());
         assert_eq!(stats.assignments, q.universe_size() as u64);
     }
@@ -3193,17 +2814,30 @@ mod tests {
         let doms = QueryDomains::compile(&q, &index);
         assert!(!doms.satisfiable());
         let (_, td) = treewidth_of_structure(&q);
-        assert!(!hom_via_tree_decomposition_indexed(&q, &index, &td).exists);
+        assert!(
+            !TreeDpProgram::compile(&q, &index, &td)
+                .decide(&index)
+                .exists
+        );
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&q, &index, &td).count,
+            TreeDpProgram::compile(&q, &index, &td).count(&index).count,
             0
         );
         let (_, pd) = pathwidth_of_structure(&q);
-        assert!(!hom_via_staircase_indexed(&q, &index, &pd.normalize_staircase()).exists);
+        assert!(
+            !StairProgram::compile(&q, &index, &pd.normalize_staircase())
+                .run(&index)
+                .exists
+        );
         let g = gaifman_graph(&q);
         let (_, forest) = treedepth_exact(&g);
-        assert_eq!(count_with_forest_indexed(&q, &index, &forest).count, 0);
-        let (witness, stats) = find_hom_indexed(&q, &index, true);
+        assert_eq!(
+            ForestProgram::compile(&q, &index, &forest)
+                .count(&index)
+                .count,
+            0
+        );
+        let (witness, stats) = SearchProgram::compile(&q, &index, true).run(&index);
         assert!(witness.is_none());
         assert!(stats.decided_by_prefilter);
     }
@@ -3214,9 +2848,13 @@ mod tests {
         let b = families::cycle(6);
         let td = TreeDecomposition::trivial(&gaifman_graph(&a));
         let index = StructureIndex::new(&b);
-        assert!(hom_via_tree_decomposition_indexed(&a, &index, &td).exists);
+        assert!(
+            TreeDpProgram::compile(&a, &index, &td)
+                .decide(&index)
+                .exists
+        );
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&a, &index, &td).count,
+            TreeDpProgram::compile(&a, &index, &td).count(&index).count,
             count_homomorphisms_bruteforce(&a, &b)
         );
     }
@@ -3252,17 +2890,23 @@ mod tests {
         let index = StructureIndex::new(&k3);
         let (_, td) = treewidth_of_structure(&two_edges);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&two_edges, &index, &td).count,
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .count(&index)
+                .count,
             count_homomorphisms_bruteforce(&two_edges, &k3)
         );
-        assert!(hom_via_tree_decomposition_indexed(&two_edges, &index, &td).exists);
+        assert!(
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .decide(&index)
+                .exists
+        );
         // Weighted across components: min cost adds over the two edges.
         let weights = test_weights(&k3);
         let costs = hom_costs(&two_edges, &k3, &weights);
         assert_eq!(
-            aggregate_via_tree_decomposition_indexed::<MinCostSemiring>(
-                &two_edges, &index, &td, &weights
-            ),
+            TreeDpProgram::compile(&two_edges, &index, &td)
+                .eval::<MinCostSemiring>(&index, Some(&weights))
+                .0,
             costs.iter().copied().min()
         );
     }
@@ -3327,11 +2971,15 @@ mod tests {
         let index = StructureIndex::new(&b);
         let (_, td) = treewidth_of_structure(&a);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&a, &index, &td).count,
+            TreeDpProgram::compile(&a, &index, &td).count(&index).count,
             count_homomorphisms_bruteforce(&a, &b)
         );
         let (_, pd) = pathwidth_of_structure(&a);
-        assert!(hom_via_staircase_indexed(&a, &index, &pd.normalize_staircase()).exists);
+        assert!(
+            StairProgram::compile(&a, &index, &pd.normalize_staircase())
+                .run(&index)
+                .exists
+        );
         // A star query: the centre is bound first, the leaves all drive
         // off the centre's posting list.
         let star = families::star(4);
@@ -3339,7 +2987,9 @@ mod tests {
         let k4_index = StructureIndex::new(&k4);
         let (_, td_star) = treewidth_of_structure(&star);
         assert_eq!(
-            count_hom_via_tree_decomposition_indexed(&star, &k4_index, &td_star).count,
+            TreeDpProgram::compile(&star, &k4_index, &td_star)
+                .count(&k4_index)
+                .count,
             count_homomorphisms_bruteforce(&star, &k4)
         );
     }

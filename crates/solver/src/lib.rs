@@ -20,7 +20,7 @@
 //! The table above names the **reference** implementations; the [`kernel`]
 //! module provides the indexed, flat-row production counterparts of each
 //! (compiled bag programs, prefilter domains, separator hash-joins) that
-//! the engine's registries actually dispatch to — the reference versions
+//! the engine's tier dispatch actually runs — the reference versions
 //! are retained as the oracle the kernel is differentially tested against.
 
 #![forbid(unsafe_code)]
@@ -40,13 +40,9 @@ pub use backtrack::BacktrackSolver;
 pub use colour_coding::{hash_coloring, ColorCodingConfig};
 pub use domains::{arc_consistency, initial_domains, Domains};
 pub use kernel::{
-    aggregate_via_search_indexed, aggregate_via_staircase_indexed,
-    aggregate_via_tree_decomposition_indexed, aggregate_with_forest_indexed, bag_rows_indexed,
-    count_hom_via_tree_decomposition_indexed, count_via_staircase_indexed,
-    count_with_forest_indexed, find_hom_indexed, hom_via_forest_indexed, hom_via_staircase_indexed,
-    hom_via_tree_decomposition_indexed, program_compilation_count, AnswerCursor, AnswerProgram,
-    BagProgram, ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains,
-    RetainedEvalStats, SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
+    bag_rows_indexed, program_compilation_count, AnswerCursor, AnswerProgram, BagProgram,
+    ForestProgram, ForestRun, GroupTable, KernelSearchStats, QueryDomains, RetainedEvalStats,
+    SearchProgram, StairProgram, TreeDpProgram, TreeDpRun, TreeIncrementalState,
 };
 pub use pathdp::{hom_via_path_decomposition, hom_via_staircase, PathDpReport};
 pub use problems::{has_k_cycle, has_k_path, st_path_at_most};
