@@ -6,8 +6,9 @@
 //! are identical draws): against the endpoint query
 //! `S(x0,x1) ∧ R0(x1,x2) ∧ R1(x2,x3)` with `x0, x3` free, the total
 //! answer count scales with `|S|` while the structural work per cursor
-//! step (pinned DP passes over the same fact relations, candidate scans
-//! over the same 4000-element domains) does not.  That contrast is the
+//! step (pinned DP passes over the same fact relations, whose unpinned
+//! depths read their candidates off the fact relations' posting lists)
+//! does not.  That contrast is the
 //! whole point of the pinned-prefix cursor behind [`Engine::answers`]:
 //!
 //! * **first-answer latency** — one warm `answers(offset 0, limit 1)`

@@ -21,12 +21,16 @@
 //!   child/frontier tables on the projection onto the per-edge separator
 //!   (hoisted once per edge) through a flat packed-key [`GroupTable`]:
 //!   no per-row key allocation, one `u32` arena for every group key;
-//! * **index-driven candidate iteration** — when a depth's constraint has
-//!   exactly one unbound variable, the enumerator walks the posting list
-//!   of the cheapest bound position instead of scanning the whole
-//!   prefilter domain (a classic index nested-loop join), and the fallback
-//!   search ([`SearchProgram`]) is the whole-query [`BagProgram`] in
-//!   fail-first order with O(1) tuple membership.
+//! * **index-driven candidate iteration** — when a constraint anchored at
+//!   a bag depth or forest node has exactly one unbound variable, the
+//!   candidates are read off the shortest posting list of its bound
+//!   positions instead of scanning the whole prefilter domain (a classic
+//!   index nested-loop join).  One helper serves all three candidate
+//!   loops: the bag enumerator (tree DP, staircase, search aggregates),
+//!   the pinned bag enumerator (the answer cursor's pinned decides and the
+//!   retained evaluator's delta patches), and the forest recursion.  The
+//!   fallback search ([`SearchProgram`]) is the whole-query [`BagProgram`]
+//!   in fail-first order with O(1) tuple membership.
 //!
 //! **One DP, many semirings.**  There is exactly one tree DP, one
 //! staircase sweep, and one forest recursion in this module; each is
@@ -367,6 +371,65 @@ struct Driver {
     bound: Vec<usize>,
 }
 
+/// Pick the driver of the slot `at` (a bag depth, or a forest node's query
+/// element): the first constraint anchored there with at least two
+/// positions, exactly one of which reads `at` — every other position is
+/// bound before `at` is assigned.  A constraint repeating the slot's
+/// variable (`R(x,x)`) never drives.
+fn pick_driver(at: u32, anchored: &[Constraint]) -> Option<Driver> {
+    anchored.iter().find_map(|c| {
+        let mut hits = c.arg_depths.iter().filter(|&&x| x == at);
+        if c.arg_depths.len() < 2 || hits.next().is_none() || hits.next().is_some() {
+            return None;
+        }
+        let unbound = c.arg_depths.iter().position(|&x| x == at).expect("one hit");
+        Some(Driver {
+            sym: c.sym,
+            arg_depths: c.arg_depths.clone(),
+            unbound,
+            bound: (0..c.arg_depths.len()).filter(|&p| p != unbound).collect(),
+        })
+    })
+}
+
+/// Constraint-driven candidates of one slot (a classic index nested-loop
+/// join): the images the driven constraint's matching tuples put at the
+/// unbound position, read off the shortest posting list among the bound
+/// positions, deduplicated, ascending, and restricted to the prefilter
+/// `domain`.  `row` holds the bound images at the driver's `arg_depths`.
+/// Returns `false`, leaving `out` unspecified, when that posting list is
+/// not shorter than `domain` — the caller then scans the domain.  Every
+/// viable image is listed (a row satisfying the driven constraint matches
+/// one of the walked tuples), so driving never changes what a loop finds.
+fn driven_candidates(
+    drv: &Driver,
+    index: &StructureIndex,
+    row: &[u32],
+    domain: &[u32],
+    out: &mut Vec<u32>,
+) -> bool {
+    let image = |q: usize| row[drv.arg_depths[q] as usize];
+    let shortest = drv
+        .bound
+        .iter()
+        .map(|&q| (index.occurrence_count(drv.sym, q, image(q)), q))
+        .min();
+    let Some((_, pivot)) = shortest.filter(|&(len, _)| len < domain.len()) else {
+        return false;
+    };
+    out.clear();
+    out.extend(
+        index
+            .tuples_with(drv.sym, pivot, image(pivot))
+            .filter(|t| drv.bound.iter().all(|&q| t[q] == image(q)))
+            .map(|t| t[drv.unbound]),
+    );
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|c| domain.binary_search(c).is_ok());
+    true
+}
+
 /// A bag compiled against one indexed target: fixed element order, flat
 /// `u32` candidate domains per depth, and the constraints of the query
 /// lying entirely inside the bag, grouped by the depth at which their last
@@ -439,28 +502,10 @@ impl BagProgram {
                 });
             }
         }
-        // Pick one driver per depth: a constraint anchored there whose
-        // other positions are all bound earlier in the order.
-        let drivers: Vec<Option<Driver>> = checks
+        let drivers = checks
             .iter()
             .enumerate()
-            .map(|(d, at_depth)| {
-                at_depth.iter().find_map(|c| {
-                    let d = d as u32;
-                    let anchored = c.arg_depths.iter().filter(|&&x| x == d).count();
-                    if anchored != 1 || c.arg_depths.len() < 2 {
-                        return None;
-                    }
-                    let unbound = c.arg_depths.iter().position(|&x| x == d).expect("counted");
-                    let bound = (0..c.arg_depths.len()).filter(|&p| p != unbound).collect();
-                    Some(Driver {
-                        sym: c.sym,
-                        arg_depths: c.arg_depths.clone(),
-                        unbound,
-                        bound,
-                    })
-                })
-            })
+            .map(|(d, at_depth)| pick_driver(d as u32, at_depth))
             .collect();
         let domains = elems
             .iter()
@@ -486,57 +531,68 @@ impl BagProgram {
         &self.elems
     }
 
-    /// Check every constraint anchored at `depth` against the partial row
-    /// (the Boolean fast path of the witness search).
-    #[inline]
-    fn checks_pass(
-        &self,
+    /// The images to try at `depth` once the depths before it are bound in
+    /// `row`: the driver's candidates, written to `buf`, when its posting
+    /// list is shorter than the prefilter domain; the domain otherwise.
+    fn candidates<'c>(
+        &'c self,
         index: &StructureIndex,
         depth: usize,
         row: &[u32],
-        args: &mut Vec<u32>,
-    ) -> bool {
-        for c in &self.checks[depth] {
-            args.clear();
-            args.extend(c.arg_depths.iter().map(|&d| row[d as usize]));
-            if !index.contains(c.sym, args) {
-                return false;
-            }
+        buf: &'c mut Vec<u32>,
+    ) -> &'c [u32] {
+        let domain = &self.domains[depth];
+        match &self.drivers[depth] {
+            Some(drv) if driven_candidates(drv, index, row, domain, buf) => buf,
+            _ => domain,
         }
-        true
     }
+}
 
-    /// Check every constraint anchored at `depth` and return the ⊗-factor
-    /// it contributes (the product of owned tuple weights under a weighted
-    /// semiring; `1` otherwise), or `None` when some check fails.
-    #[inline]
-    fn check_factor<S: Semiring>(
-        &self,
-        index: &StructureIndex,
-        weights: Option<&TupleWeights>,
-        depth: usize,
-        row: &[u32],
-        args: &mut Vec<u32>,
-    ) -> Option<S::Value> {
-        if !S::WEIGHTED {
-            return self.checks_pass(index, depth, row, args).then(|| S::one());
+/// Check every constraint of `checks` against the row its `arg_depths`
+/// index (the Boolean fast path of the witness search).
+#[inline]
+fn checks_pass(
+    checks: &[Constraint],
+    index: &StructureIndex,
+    row: &[u32],
+    args: &mut Vec<u32>,
+) -> bool {
+    for c in checks {
+        args.clear();
+        args.extend(c.arg_depths.iter().map(|&d| row[d as usize]));
+        if !index.contains(c.sym, args) {
+            return false;
         }
-        let table = weights.expect("weighted semirings evaluate with a TupleWeights table");
-        let mut factor = S::one();
-        for c in &self.checks[depth] {
-            args.clear();
-            args.extend(c.arg_depths.iter().map(|&d| row[d as usize]));
-            match index.row_of(c.sym, args) {
-                None => return None,
-                Some(r) => {
-                    if c.owns_weight {
-                        factor = S::mul(&factor, &S::weight(table.get(c.sym, r)));
-                    }
-                }
-            }
-        }
-        Some(factor)
     }
+    true
+}
+
+/// Check every constraint of `checks` and return the ⊗-factor they
+/// contribute (the product of owned tuple weights under a weighted
+/// semiring; `1` otherwise), or `None` when some check fails.
+#[inline]
+fn check_factor<S: Semiring>(
+    checks: &[Constraint],
+    index: &StructureIndex,
+    weights: Option<&TupleWeights>,
+    row: &[u32],
+    args: &mut Vec<u32>,
+) -> Option<S::Value> {
+    if !S::WEIGHTED {
+        return checks_pass(checks, index, row, args).then(|| S::one());
+    }
+    let table = weights.expect("weighted semirings evaluate with a TupleWeights table");
+    let mut factor = S::one();
+    for c in checks {
+        args.clear();
+        args.extend(c.arg_depths.iter().map(|&d| row[d as usize]));
+        let r = index.row_of(c.sym, args)?;
+        if c.owns_weight {
+            factor = S::mul(&factor, &S::weight(table.get(c.sym, r)));
+        }
+    }
+    Some(factor)
 }
 
 /// Per-depth hash-join attached to a [`BagProgram`] enumeration: the key is
@@ -572,7 +628,7 @@ fn try_candidate<S: Semiring>(
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
 ) -> bool {
     row[depth] = candidate;
-    let Some(factor) = program.check_factor::<S>(index, weights, depth, row, args) else {
+    let Some(factor) = check_factor::<S>(&program.checks[depth], index, weights, row, args) else {
         return false;
     };
     let mut next_acc = if S::WEIGHTED {
@@ -628,62 +684,18 @@ fn enumerate<S: Semiring>(
     if depth == program.elems.len() {
         return emit(row, acc.clone());
     }
-    // Constraint-driven candidate iteration: when a constraint anchored
-    // here has exactly one unbound position, the matching tuples of its
-    // cheapest bound position list every viable candidate — walk them
-    // instead of the whole domain whenever the posting list is shorter.
-    if let Some(drv) = &program.drivers[depth] {
-        let mut best_pos = drv.bound[0];
-        let mut best = usize::MAX;
-        for &q in &drv.bound {
-            let v = row[drv.arg_depths[q] as usize];
-            let c = index.occurrence_count(drv.sym, q, v);
-            if c < best {
-                best = c;
-                best_pos = q;
-            }
-        }
-        if best < program.domains[depth].len() {
-            let mut cands = std::mem::take(&mut scratch[depth]);
-            cands.clear();
-            let pivot = row[drv.arg_depths[best_pos] as usize];
-            'tuples: for t in index.tuples_with(drv.sym, best_pos, pivot) {
-                for &q in &drv.bound {
-                    if t[q] != row[drv.arg_depths[q] as usize] {
-                        continue 'tuples;
-                    }
-                }
-                cands.push(t[drv.unbound]);
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            let dom = &program.domains[depth];
-            for i in 0..cands.len() {
-                let candidate = cands[i];
-                if dom.binary_search(&candidate).is_err() {
-                    continue; // prefilter pruned this image
-                }
-                if try_candidate::<S>(
-                    program, index, weights, joins_at, joins, depth, candidate, row, args, key,
-                    acc, scratch, emit,
-                ) {
-                    scratch[depth] = cands;
-                    return true;
-                }
-            }
-            scratch[depth] = cands;
-            return false;
-        }
-    }
-    for &candidate in &program.domains[depth] {
-        if try_candidate::<S>(
-            program, index, weights, joins_at, joins, depth, candidate, row, args, key, acc,
-            scratch, emit,
-        ) {
-            return true;
-        }
-    }
-    false
+    let mut buf = std::mem::take(&mut scratch[depth]);
+    let stop = program
+        .candidates(index, depth, row, &mut buf)
+        .iter()
+        .any(|&candidate| {
+            try_candidate::<S>(
+                program, index, weights, joins_at, joins, depth, candidate, row, args, key, acc,
+                scratch, emit,
+            )
+        });
+    scratch[depth] = buf;
+    stop
 }
 
 /// Depths of a bag pinned to fixed images, plus optionally one check
@@ -709,6 +721,7 @@ fn run_program<S: Semiring>(
     let mut row = vec![0u32; program.elems.len()];
     let mut args = Vec::with_capacity(program.max_arity);
     let mut key = Vec::new();
+    let mut scratch = vec![Vec::new(); program.elems.len()];
     if let Some((pins, skip)) = pins {
         enumerate_pinned::<S>(
             program,
@@ -722,11 +735,11 @@ fn run_program<S: Semiring>(
             &mut args,
             &mut key,
             &initial_acc,
+            &mut scratch,
             emit,
         );
         return;
     }
-    let mut scratch = vec![Vec::new(); program.elems.len()];
     if program.elems.is_empty() {
         // An empty bag has exactly the empty row; empty-key joins were
         // folded into `initial_acc` by the caller.
@@ -1500,6 +1513,7 @@ fn pinned_candidate<S: Semiring>(
     args: &mut Vec<u32>,
     key: &mut Vec<u32>,
     acc: &S::Value,
+    scratch: &mut [Vec<u32>],
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
 ) -> bool {
     row[depth] = candidate;
@@ -1535,15 +1549,22 @@ fn pinned_candidate<S: Semiring>(
         args,
         key,
         &next_acc,
+        scratch,
         emit,
     )
 }
 
 /// [`enumerate`] with some depths pinned to fixed images: pinned depths
-/// take exactly their candidate, free depths scan their prefilter domain.
-/// Drivers are not used — delta enumerations are tiny and the pinned
-/// constraint's tuple may no longer be in the index.  Unweighted semirings
-/// only.
+/// take exactly their candidate, free depths take
+/// [`BagProgram::candidates`].  Unweighted semirings only.
+///
+/// Driving stays sound when a delta patch skips the check of a deleted
+/// tuple (`skip`), although that tuple is gone from the index: the patch
+/// pins every depth of the skipped constraint, so its anchor depth is
+/// pinned and it never drives; and [`TreeDpProgram::eval_retained`]
+/// patches a bag only when exactly one of its constraints reads a touched
+/// relation, so every driver at an unpinned depth walks an untouched
+/// relation whose posting lists are the same before and after the round.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_pinned<S: Semiring>(
     program: &BagProgram,
@@ -1557,6 +1578,7 @@ fn enumerate_pinned<S: Semiring>(
     args: &mut Vec<u32>,
     key: &mut Vec<u32>,
     acc: &S::Value,
+    scratch: &mut [Vec<u32>],
     emit: &mut impl FnMut(&[u32], S::Value) -> bool,
 ) -> bool {
     if depth == program.elems.len() {
@@ -1569,18 +1591,22 @@ fn enumerate_pinned<S: Semiring>(
             return false;
         }
         return pinned_candidate::<S>(
-            program, index, joins_at, joins, pins, skip, depth, v, row, args, key, acc, emit,
+            program, index, joins_at, joins, pins, skip, depth, v, row, args, key, acc, scratch,
+            emit,
         );
     }
-    for &candidate in &program.domains[depth] {
-        if pinned_candidate::<S>(
-            program, index, joins_at, joins, pins, skip, depth, candidate, row, args, key, acc,
-            emit,
-        ) {
-            return true;
-        }
-    }
-    false
+    let mut buf = std::mem::take(&mut scratch[depth]);
+    let stop = program
+        .candidates(index, depth, row, &mut buf)
+        .iter()
+        .any(|&candidate| {
+            pinned_candidate::<S>(
+                program, index, joins_at, joins, pins, skip, depth, candidate, row, args, key, acc,
+                scratch, emit,
+            )
+        });
+    scratch[depth] = buf;
+    stop
 }
 
 /// Where a delta patch lands: a non-root bag's parent-edge group table, or
@@ -2056,20 +2082,22 @@ impl StairProgram {
 /// The forest topology and per-node constraints of a compiled forest
 /// evaluation: for each node, the tuples of the query whose deepest
 /// element in the forest it is (all other elements are ancestors, hence
-/// assigned when the node is visited).  Tuple entries are query elements.
-/// The anchoring is a partition of the query's tuples, so every check
-/// owns its weight factor.
+/// assigned when the node is visited), plus the node's [`Driver`] picked
+/// among them.  Constraint `arg_depths` are query elements, indexing the
+/// assignment.  The anchoring is a partition of the query's tuples, so
+/// every check owns its weight factor.
 struct ForestChecks {
     children: Vec<Vec<usize>>,
     roots: Vec<usize>,
-    checks: Vec<Vec<(SymbolId, Vec<u32>)>>,
+    checks: Vec<Vec<Constraint>>,
+    drivers: Vec<Option<Driver>>,
     max_arity: usize,
 }
 
 impl ForestChecks {
     fn compile(a: &Structure, doms: &QueryDomains, forest: &EliminationForest) -> ForestChecks {
         let depths = forest.depths();
-        let mut checks: Vec<Vec<(SymbolId, Vec<u32>)>> = vec![Vec::new(); a.universe_size()];
+        let mut checks: Vec<Vec<Constraint>> = vec![Vec::new(); a.universe_size()];
         let mut max_arity = 0;
         if doms.satisfiable {
             for (sym, t) in a.all_tuples() {
@@ -2080,13 +2108,23 @@ impl ForestChecks {
                     .max_by_key(|&e| depths[e as usize])
                     .expect("tuples are non-empty");
                 max_arity = max_arity.max(t.len());
-                checks[anchor as usize].push((target, t.to_vec()));
+                checks[anchor as usize].push(Constraint {
+                    sym: target,
+                    arg_depths: t.to_vec(),
+                    owns_weight: true,
+                });
             }
         }
+        let drivers = checks
+            .iter()
+            .enumerate()
+            .map(|(v, anchored)| pick_driver(v as u32, anchored))
+            .collect();
         ForestChecks {
             children: forest.children(),
             roots: forest.roots(),
             checks,
+            drivers,
             max_arity,
         }
     }
@@ -2100,7 +2138,9 @@ pub struct ForestRun {
     /// The number of homomorphisms ([`Nat::Overflow`] past `u64::MAX`;
     /// the decision entry point stops early and reports 0/1).
     pub count: Nat,
-    /// Candidate images tried across the whole run (a work figure).
+    /// Candidate images tried across the whole run, after driving (a
+    /// work figure): a node with a driver tries only its posting-list
+    /// candidates, any other node its whole prefilter domain.
     pub assignments: u64,
 }
 
@@ -2108,7 +2148,9 @@ pub struct ForestRun {
 /// ⊕-aggregate over extensions of the current ancestor assignment to the
 /// subtree at `v` of the ⊗-product of tuple factors.  The absorbing-element
 /// early exit reproduces decision's first-witness stop under
-/// [`BoolSemiring`].
+/// [`BoolSemiring`].  Candidates at `v` come off its driver's posting list
+/// when that is shorter than the domain; `scratch[v]` is the node's reused
+/// candidate buffer.
 #[allow(clippy::too_many_arguments)]
 fn forest_subtree<S: Semiring>(
     program: &ForestChecks,
@@ -2118,29 +2160,28 @@ fn forest_subtree<S: Semiring>(
     v: usize,
     assignment: &mut [u32],
     args: &mut Vec<u32>,
+    scratch: &mut [Vec<u32>],
     stats: &mut u64,
 ) -> S::Value {
+    let mut buf = std::mem::take(&mut scratch[v]);
+    let domain = doms.domain(v);
+    let candidates = match &program.drivers[v] {
+        Some(drv) if driven_candidates(drv, index, assignment, domain, &mut buf) => &buf,
+        _ => domain,
+    };
     let mut total = S::zero();
-    'candidates: for &image in doms.domain(v) {
+    for &image in candidates {
         *stats += 1;
         assignment[v] = image;
-        let mut product = S::one();
-        for (sym, t) in &program.checks[v] {
-            args.clear();
-            args.extend(t.iter().map(|&e| assignment[e as usize]));
-            if S::WEIGHTED {
-                let table = weights.expect("weighted semirings evaluate with a TupleWeights table");
-                match index.row_of(*sym, args) {
-                    None => continue 'candidates,
-                    Some(r) => product = S::mul(&product, &S::weight(table.get(*sym, r))),
-                }
-            } else if !index.contains(*sym, args) {
-                continue 'candidates;
-            }
-        }
-        for &c in &program.children[v] {
-            let sub =
-                forest_subtree::<S>(program, doms, index, weights, c, assignment, args, stats);
+        let Some(mut product) =
+            check_factor::<S>(&program.checks[v], index, weights, assignment, args)
+        else {
+            continue;
+        };
+        for &child in &program.children[v] {
+            let sub = forest_subtree::<S>(
+                program, doms, index, weights, child, assignment, args, scratch, stats,
+            );
             product = S::mul(&product, &sub);
             if S::is_zero(&product) {
                 break;
@@ -2148,9 +2189,10 @@ fn forest_subtree<S: Semiring>(
         }
         total = S::add(&total, &product);
         if S::is_add_absorbing(&total) {
-            return total;
+            break;
         }
     }
+    scratch[v] = buf;
     total
 }
 
@@ -2230,6 +2272,7 @@ impl ForestProgram {
         }
         let mut assignment = vec![0u32; self.universe];
         let mut args = Vec::with_capacity(self.checks.max_arity);
+        let mut scratch = vec![Vec::new(); self.universe];
         let mut result = S::one();
         for &root in &self.checks.roots {
             let sub = forest_subtree::<S>(
@@ -2240,6 +2283,7 @@ impl ForestProgram {
                 root,
                 &mut assignment,
                 &mut args,
+                &mut scratch,
                 assignments,
             );
             result = S::mul(&result, &sub);
@@ -2329,7 +2373,7 @@ impl SearchProgram {
             for &candidate in &program.domains[depth] {
                 *assignments += 1;
                 row[depth] = candidate;
-                if program.checks_pass(index, depth, row, args)
+                if checks_pass(&program.checks[depth], index, row, args)
                     && search(program, index, depth + 1, row, args, assignments)
                 {
                     return true;
@@ -2992,6 +3036,203 @@ mod tests {
                 .count,
             count_homomorphisms_bruteforce(&star, &k4)
         );
+    }
+
+    /// A small warehouse-shaped target in the style of the scale corpus:
+    /// a dense binary fact relation `R` with planted loops, a sparse binary
+    /// `S`, and a ternary `T` whose planted tuples repeat their first
+    /// element last.  Posting lists are much shorter than the prefilter
+    /// domains, so the drivers carry the enumeration.
+    fn selective_target(n: usize, seed: u64) -> Structure {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let voc = cq_structures::Vocabulary::from_pairs([("R", 2), ("S", 2), ("T", 3)]).unwrap();
+        let (r, s, t) = (
+            voc.id_of("R").unwrap(),
+            voc.id_of("S").unwrap(),
+            voc.id_of("T").unwrap(),
+        );
+        let mut b = cq_structures::StructureBuilder::new(voc).with_universe(n);
+        for _ in 0..4 * n {
+            b.raw_fact(r, vec![rng.gen_range(0..n), rng.gen_range(0..n)]);
+        }
+        for _ in 0..n / 3 {
+            let x = rng.gen_range(0..n);
+            b.raw_fact(r, vec![x, x]);
+        }
+        for _ in 0..n / 2 {
+            b.raw_fact(s, vec![rng.gen_range(0..n), rng.gen_range(0..n)]);
+        }
+        for _ in 0..n {
+            let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            b.raw_fact(t, vec![x, y, x]);
+            b.raw_fact(t, vec![x, y, rng.gen_range(0..n)]);
+        }
+        b.build().unwrap()
+    }
+
+    /// A query over the [`selective_target`] vocabulary, one atom per
+    /// `(symbol, elements)` pair.
+    fn selective_query(n: usize, atoms: &[(&str, &[usize])]) -> Structure {
+        let voc = cq_structures::Vocabulary::from_pairs([("R", 2), ("S", 2), ("T", 3)]).unwrap();
+        let mut a = Structure::new(voc, n).unwrap();
+        for &(name, elems) in atoms {
+            let sym = a.vocabulary().id_of(name).unwrap();
+            a.add_tuple(sym, elems.to_vec()).unwrap();
+        }
+        a
+    }
+
+    #[test]
+    fn forest_drivers_match_bruteforce_on_selective_targets() {
+        // Self-loops `R(x,x)` repeat the anchored variable, so they never
+        // drive (one sits alone on a component root); `T(x,y,x)` repeats
+        // an ancestor at two bound positions of a driver.
+        let queries = [
+            selective_query(
+                5,
+                &[
+                    ("S", &[0, 1]),
+                    ("R", &[1, 2]),
+                    ("R", &[2, 2]),
+                    ("T", &[1, 3, 1]),
+                    ("R", &[3, 4]),
+                ],
+            ),
+            selective_query(
+                5,
+                &[
+                    ("R", &[0, 0]),
+                    ("S", &[0, 1]),
+                    ("T", &[0, 2, 0]),
+                    ("R", &[2, 3]),
+                    ("R", &[4, 4]),
+                ],
+            ),
+            selective_query(4, &[("T", &[0, 1, 2]), ("R", &[2, 2]), ("S", &[3, 1])]),
+        ];
+        let mut driven_nodes = 0;
+        for (seed, b) in (1..=3).map(|seed| (seed, selective_target(24, seed))) {
+            let index = StructureIndex::new(&b);
+            let weights = test_weights(&b);
+            for a in &queries {
+                let (_, forest) = treedepth_exact(&gaifman_graph(a));
+                let program = ForestProgram::compile(a, &index, &forest);
+                driven_nodes += program.checks.drivers.iter().flatten().count();
+                let count = program.count(&index);
+                assert_eq!(
+                    count.count,
+                    count_homomorphisms_bruteforce(a, &b),
+                    "{a}, seed {seed}"
+                );
+                assert_eq!(program.decide(&index).exists, homomorphism_exists(a, &b));
+                let costs = hom_costs(a, &b, &weights);
+                let min = program.eval::<MinCostSemiring>(&index, Some(&weights), &mut 0);
+                let max = program.eval::<MaxWeightSemiring>(&index, Some(&weights), &mut 0);
+                assert_eq!(min, costs.iter().copied().min(), "{a}, seed {seed}");
+                assert_eq!(max, costs.iter().copied().max(), "{a}, seed {seed}");
+            }
+        }
+        // Three driven nodes per query, on each of the three targets.
+        assert_eq!(driven_nodes, 27);
+
+        // One fixed case, against the same program with its drivers
+        // stripped (the domain scan): same count, fewer candidates tried.
+        let (a, b) = (&queries[0], selective_target(24, 1));
+        let index = StructureIndex::new(&b);
+        let (_, forest) = treedepth_exact(&gaifman_graph(a));
+        let driven = ForestProgram::compile(a, &index, &forest);
+        let mut scan = ForestProgram::compile(a, &index, &forest);
+        scan.checks.drivers.iter_mut().for_each(|d| *d = None);
+        let (driven, scan) = (driven.count(&index), scan.count(&index));
+        assert_eq!(driven.count, 42);
+        assert_eq!(scan.count, 42);
+        assert_eq!((driven.assignments, scan.assignments), (58, 456));
+    }
+
+    #[test]
+    fn answer_cursor_matches_bruteforce_on_a_selective_target() {
+        // The E22 endpoint shape `S(x0,x1) ∧ R(x1,x2) ∧ R(x2,x3)` with
+        // `x0, x3` free: the unpinned depths of every pinned decide drive
+        // off short `R` posting lists.
+        let a = selective_query(4, &[("S", &[0, 1]), ("R", &[1, 2]), ("R", &[2, 3])]);
+        let (_, td) = treewidth_of_structure(&a);
+        for seed in 1..=3 {
+            let b = selective_target(40, seed);
+            let index = StructureIndex::new(&b);
+            let program = AnswerProgram::compile(&a, &index, &td, &[0, 3]);
+            assert!(program.program.bags.iter().any(|bag| bag
+                .program
+                .drivers
+                .iter()
+                .any(Option::is_some)));
+            let expected: Vec<Vec<u32>> = cq_structures::answers_bruteforce(&a, &b, &[0, 3])
+                .iter()
+                .map(|r| r.iter().map(|&e| e as u32).collect())
+                .collect();
+            assert!(expected.len() >= 5, "seed {seed}: too few answers");
+            assert_eq!(program.cursor(&index).collect::<Vec<_>>(), expected);
+            assert_eq!(program.count_answers(&index) as usize, expected.len());
+        }
+    }
+
+    #[test]
+    fn retained_patch_drives_unpinned_depths_over_untouched_relations() {
+        // One bag {x0, x1, x2} (the trivial decomposition of a triangle):
+        // `S(x0,x1)` is the only constraint reading the churned relation,
+        // so a round patches the bag with depths 0 and 1 pinned, and depth 2
+        // drives off the untouched `R`.
+        let a = selective_query(3, &[("S", &[0, 1]), ("R", &[1, 2]), ("R", &[0, 2])]);
+        let mut b = selective_target(30, 7);
+        let s = b.vocabulary().id_of("S").unwrap();
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (3, 1),
+            (3, 2),
+            (4, 5),
+            (6, 5),
+            (4, 7),
+            (6, 7),
+        ] {
+            b.add_tuple(s, vec![u, v]).unwrap();
+        }
+        let td = TreeDecomposition::trivial(&gaifman_graph(&a));
+        let mut index = StructureIndex::new(&b);
+        let program = TreeDpProgram::compile(&a, &index, &td);
+        let bag = &program.bags[0].program;
+        let drv = bag.drivers[2].as_ref().expect("depth 2 has an R driver");
+        assert_eq!(index.vocabulary().name(drv.sym), "R");
+        let epoch = index.domain_epoch();
+        let mut state = None;
+        program.eval_retained::<CheckedNatSemiring>(&index, &mut state);
+        let rounds = [
+            (vec![(0, 1)], vec![(0, 5)]),
+            (vec![(4, 7), (3, 2)], vec![(6, 2), (4, 1)]),
+            (vec![(6, 5)], vec![(6, 5)]),
+        ];
+        for (i, (deleted, inserted)) in rounds.iter().enumerate() {
+            let mut batch = cq_structures::DeltaBatch::new();
+            for &(u, v) in deleted {
+                batch.delete(s, vec![u, v]);
+            }
+            for &(u, v) in inserted {
+                batch.insert(s, vec![u, v]);
+            }
+            index.apply_delta(&batch).unwrap();
+            assert_eq!(index.domain_epoch(), epoch, "round {i} must stay in-epoch");
+            let (patched, stats) = program.eval_retained::<CheckedNatSemiring>(&index, &mut state);
+            assert!(
+                !stats.full_rebuild && stats.bags_patched >= 1,
+                "round {i}: {stats:?}"
+            );
+            assert_eq!(patched, program.count(&index).count, "round {i}");
+            assert_eq!(
+                patched,
+                count_homomorphisms_bruteforce(&a, index.structure())
+            );
+        }
     }
 
     /// Drive one query/target pair through scripted mutation rounds,
