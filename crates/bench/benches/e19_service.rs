@@ -11,8 +11,10 @@
 //!   the p50/p99 latency column;
 //! * **pipelined** — one connection per thread, the whole trace shipped
 //!   before the first response is read: singleton requests from different
-//!   threads pile up in the server's job queue and the dispatcher
-//!   coalesces them into `solve_batch` / `count_batch` fan-outs.
+//!   threads pile up in the server's job queue and the dispatcher drains
+//!   them together in rounds, each round run job by job on the dispatcher
+//!   thread with a panic guard per job (no fan-out over the engine's
+//!   worker pool — the speedup over naive is connection reuse).
 //!
 //! Every response (all disciplines) is compared bit-for-bit against a
 //! fresh in-process engine; the run aborts on the first disagreement, so
@@ -260,7 +262,7 @@ fn print_report(r: &SoakReport) {
     );
     println!("  {:>12}: {:>10.0} req/s", "pipelined", r.pipelined_rps);
     println!(
-        "  pipelined vs naive: {:.2}x   ({} requests coalesced into batch fan-outs)",
+        "  pipelined vs naive: {:.2}x   ({} requests coalesced into shared dispatcher rounds)",
         r.speedup, r.coalesced_requests
     );
 }

@@ -65,6 +65,7 @@ pub mod aggregates;
 pub mod answers;
 pub mod counting;
 pub mod engine;
+mod lru;
 pub mod persist;
 pub mod prepared;
 pub mod registry;

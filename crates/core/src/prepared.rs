@@ -34,6 +34,7 @@
 //! search, over the evaluated or the original structure.
 
 use crate::engine::EngineConfig;
+use crate::lru::Lru;
 use crate::Degree;
 use cq_decomp::{PathDecomposition, StructuralAnalysis, WidthProfile};
 use cq_graphs::{gaifman_graph, Graph};
@@ -100,7 +101,6 @@ pub(crate) enum Side {
 /// selectively recomputes only the bags a touched relation reaches instead
 /// of re-running the whole DP.  `try_lock` keeps concurrent evaluations
 /// wait-free: a contended caller falls back to a plain stateless pass.
-#[derive(Default)]
 struct IndexKernels {
     forest: [OnceLock<Arc<ForestProgram>>; 2],
     tree: [OnceLock<Arc<TreeDpProgram>>; 2],
@@ -118,9 +118,23 @@ struct IndexKernels {
     /// Compiled [`AnswerProgram`]s keyed by free-element list (declared
     /// order matters — it is the answer-column order).  A plan may serve
     /// answers under several free lists; each compiles its own
-    /// adjoined-decomposition DP, MRU-retained up to
+    /// adjoined-decomposition DP, LRU-retained up to
     /// [`MAX_ANSWER_PROGRAMS`].
-    answers: Mutex<Vec<(Vec<Element>, Arc<AnswerProgram>)>>,
+    answers: Mutex<Lru<(Vec<Element>, Arc<AnswerProgram>)>>,
+}
+
+impl Default for IndexKernels {
+    fn default() -> IndexKernels {
+        IndexKernels {
+            forest: Default::default(),
+            tree: Default::default(),
+            search: Default::default(),
+            stair: OnceLock::new(),
+            tree_decide_retained: Mutex::new(None),
+            tree_count_retained: Mutex::new(None),
+            answers: Mutex::new(Lru::new(MAX_ANSWER_PROGRAMS)),
+        }
+    }
 }
 
 impl std::fmt::Debug for IndexKernels {
@@ -168,14 +182,14 @@ pub struct PreparedQuery {
     /// the cache's decision-level alias memoization).
     count_verified_aliases: Mutex<Vec<Structure>>,
     /// Compiled kernel programs per cached database index, keyed by
-    /// `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)` with
-    /// most-recently-used entries at the back — an in-place delta that grows
+    /// `(`[`StructureIndex::id`]`, `[`StructureIndex::domain_epoch`]`)` and
+    /// LRU-retained up to [`MAX_KERNEL_BUNDLES`] — an in-place delta that grows
     /// a position domain bumps the epoch and transparently recompiles, while
     /// same-epoch deltas keep every warm program (their baked domains remain
     /// sound supersets).  A runtime cache of compilation work, never
     /// persisted (a warm-started plan recompiles on first evaluation,
     /// exactly like a cold one).
-    kernels: Mutex<Vec<(KernelCacheKey, Arc<IndexKernels>)>>,
+    kernels: Mutex<Lru<(KernelCacheKey, Arc<IndexKernels>)>>,
 }
 
 /// Cache key for [`PreparedQuery`]'s per-index program bundles: the index's
@@ -219,7 +233,7 @@ impl PreparedQuery {
             staircase: OnceLock::new(),
             counting: OnceLock::new(),
             count_verified_aliases: Mutex::new(Vec::new()),
-            kernels: Mutex::new(Vec::new()),
+            kernels: Mutex::new(Lru::new(MAX_KERNEL_BUNDLES)),
         }
     }
 
@@ -356,16 +370,10 @@ impl PreparedQuery {
             .kernels
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(pos);
-            let bundle = Arc::clone(&entry.1);
-            cache.push(entry); // most-recently-used at the back
-            return bundle;
+        if let Some((_, bundle)) = cache.get(|(k, _)| *k == key) {
+            return Arc::clone(bundle);
         }
         let bundle = Arc::new(IndexKernels::default());
-        if cache.len() >= MAX_KERNEL_BUNDLES {
-            cache.remove(0); // least-recently-used at the front
-        }
         cache.push((key, Arc::clone(&bundle)));
         bundle
     }
@@ -493,7 +501,7 @@ impl PreparedQuery {
     /// the free elements adjoined to every bag (answers, like counts, are
     /// not core-invariant — projecting homomorphisms of the core onto free
     /// positions of the core would answer a different query).  Compiled on
-    /// first use and MRU-cached per free list on the index's kernel bundle.
+    /// first use and LRU-cached per free list on the index's kernel bundle.
     ///
     /// `free` must be the canonical-structure elements of the free
     /// variables in declared order, distinct; the engine validates this at
@@ -504,11 +512,8 @@ impl PreparedQuery {
             .answers
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = cache.iter().position(|(f, _)| f == free) {
-            let entry = cache.remove(pos);
-            let program = Arc::clone(&entry.1);
-            cache.push(entry); // most-recently-used at the back
-            return program;
+        if let Some((_, program)) = cache.get(|(f, _)| f == free) {
+            return Arc::clone(program);
         }
         let program = Arc::new(AnswerProgram::compile(
             &self.original,
@@ -516,9 +521,6 @@ impl PreparedQuery {
             &self.counting_analysis().tree_decomposition,
             free,
         ));
-        if cache.len() >= MAX_ANSWER_PROGRAMS {
-            cache.remove(0);
-        }
         cache.push((free.to_vec(), Arc::clone(&program)));
         program
     }
@@ -633,7 +635,7 @@ impl Decode for PreparedQuery {
             staircase: lock_from(Option::<PathDecomposition>::decode(r)?),
             counting: lock_from(Option::<StructuralAnalysis>::decode(r)?),
             count_verified_aliases: Mutex::new(Vec::new()),
-            kernels: Mutex::new(Vec::new()),
+            kernels: Mutex::new(Lru::new(MAX_KERNEL_BUNDLES)),
         })
     }
 }

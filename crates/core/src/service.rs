@@ -26,10 +26,13 @@
 //!
 //! Concurrency architecture:
 //!
-//! * the cache is **sharded** N ways by fingerprint hash
-//!   ([`Engine::with_cache_shards`], default [`DEFAULT_CACHE_SHARDS`]), each
-//!   shard an independently locked LRU, so concurrent lookups of different
-//!   queries do not contend on one mutex;
+//! * the plan cache and the instance-index cache are **sharded** N ways by
+//!   hash ([`Engine::with_cache_shards`], default [`DEFAULT_CACHE_SHARDS`]),
+//!   each shard an independently locked LRU, so concurrent lookups of
+//!   different queries or databases do not contend on one mutex.  Every
+//!   engine cache (these shards, the index cache's content-token aliases,
+//!   a plan's kernel bundles and answer programs) is the same crate-private
+//!   LRU type, and each cache's capacity bounds what it keeps alive;
 //! * preparation is **single-flight** per fingerprint: concurrent misses on
 //!   the same query serialize on a per-fingerprint latch, the loser re-reads
 //!   the winner's cached plan, and each distinct fingerprint is prepared
@@ -47,6 +50,7 @@ use crate::aggregates::{AggregateObjective, AggregateReport};
 use crate::answers::{AnswerCountReport, AnswerMethod, AnswerPage};
 use crate::counting::{CountOutcome, CountRegistry, CountReport};
 use crate::engine::{EngineConfig, EngineReport};
+use crate::lru::{Lru, Sharded};
 use crate::persist::{PersistError, PlanStore, WarmStartSummary};
 use crate::prepared::PreparedQuery;
 use crate::registry::SolverRegistry;
@@ -59,7 +63,7 @@ use cq_structures::{
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Source of per-process unique engine identities (for [`QueryId`]
 /// affinity checks).
@@ -211,9 +215,7 @@ impl PrepCounters {
 }
 
 struct CacheSlot {
-    fingerprint: u64,
     plan: Arc<PreparedQuery>,
-    last_used: u64,
     /// Non-identical submitted forms (e.g. relabellings) already verified
     /// homomorphically equivalent to the plan's original — so repeat
     /// lookups of the same form cost a structural equality check instead of
@@ -240,85 +242,11 @@ impl CacheSlot {
     }
 }
 
-/// One independently locked shard: a small LRU over plans whose
-/// fingerprints hash here.  Hit/miss accounting lives in the sharded
-/// wrapper (atomics), so a shard is pure storage + recency.
+/// The plan cache: plans sharded by fingerprint, each shard an [`Lru`],
+/// plus process-shared counters and the per-fingerprint single-flight
+/// latches.
 struct PlanCache {
-    capacity: usize,
-    tick: u64,
-    slots: Vec<CacheSlot>,
-}
-
-impl PlanCache {
-    fn empty(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity,
-            tick: 0,
-            slots: Vec::new(),
-        }
-    }
-
-    fn find(&mut self, fingerprint: u64, candidate: &Structure) -> Option<Arc<PreparedQuery>> {
-        self.tick += 1;
-        let now = self.tick;
-        for slot in &mut self.slots {
-            if slot.fingerprint == fingerprint && slot.matches(candidate) {
-                slot.last_used = now;
-                return Some(Arc::clone(&slot.plan));
-            }
-        }
-        None
-    }
-
-    /// Insert a plan, returning the plans the LRU evicted to make room —
-    /// surrendered to the caller (rather than dropped here) so an engine
-    /// with an eviction store can persist them before the last `Arc` goes.
-    fn insert(&mut self, plan: Arc<PreparedQuery>) -> Vec<Arc<PreparedQuery>> {
-        if self.capacity == 0 {
-            return Vec::new();
-        }
-        let evicted = self.evict_down_to(self.capacity.saturating_sub(1));
-        self.tick += 1;
-        self.slots.push(CacheSlot {
-            fingerprint: plan.fingerprint(),
-            plan,
-            last_used: self.tick,
-            verified_aliases: Vec::new(),
-        });
-        evicted
-    }
-
-    /// Evict least-recently-used slots until at most `target` remain,
-    /// returning the evicted plans.
-    fn evict_down_to(&mut self, target: usize) -> Vec<Arc<PreparedQuery>> {
-        let mut evicted = Vec::new();
-        while self.slots.len() > target {
-            let pos = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            evicted.push(self.slots.swap_remove(pos).plan);
-        }
-        evicted
-    }
-}
-
-/// The N-way sharded plan cache: each shard an independent LRU behind its
-/// own mutex, plus process-shared counters and the per-fingerprint
-/// single-flight latches.
-struct ShardedPlanCache {
-    shards: Vec<Mutex<PlanCache>>,
-    /// The shard count the caller asked for.  The effective count
-    /// (`shards.len()`) is clamped so no shard's share of the capacity is
-    /// zero; the request is remembered so a later capacity change can
-    /// restore the full spread.
-    requested_shards: usize,
-    /// Total capacity across shards (shard `i` holds its proportional
-    /// share).
-    total_capacity: usize,
+    slots: Sharded<CacheSlot>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -329,23 +257,10 @@ struct ShardedPlanCache {
     in_flight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
 }
 
-impl ShardedPlanCache {
-    fn new(shard_count: usize, total_capacity: usize) -> ShardedPlanCache {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
-        let shards = (0..effective)
-            .map(|i| {
-                Mutex::new(PlanCache::empty(shard_capacity(
-                    total_capacity,
-                    effective,
-                    i,
-                )))
-            })
-            .collect();
-        ShardedPlanCache {
-            shards,
-            requested_shards: requested,
-            total_capacity,
+impl PlanCache {
+    fn new(shards: usize, capacity: usize) -> PlanCache {
+        PlanCache {
+            slots: Sharded::new(shards, capacity),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -354,28 +269,25 @@ impl ShardedPlanCache {
         }
     }
 
-    fn shard(&self, fingerprint: u64) -> &Mutex<PlanCache> {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
-    }
-
     fn find(&self, fingerprint: u64, candidate: &Structure) -> Option<Arc<PreparedQuery>> {
-        self.shard(fingerprint)
-            .lock()
-            .expect("cache shard lock")
-            .find(fingerprint, candidate)
+        let mut shard = self.slots.shard(fingerprint);
+        let slot =
+            shard.get(|slot| slot.plan.fingerprint() == fingerprint && slot.matches(candidate))?;
+        Some(Arc::clone(&slot.plan))
     }
 
-    /// Insert a plan, returning any plans the shard's LRU evicted (already
-    /// counted in the `evictions` stat) so the engine can persist them.
+    /// Insert a plan, returning any plans its shard evicted (already
+    /// counted in the `evictions` stat) so the engine can persist them
+    /// before the last `Arc` goes.
     fn insert(&self, plan: Arc<PreparedQuery>) -> Vec<Arc<PreparedQuery>> {
-        let evicted = self
-            .shard(plan.fingerprint())
-            .lock()
-            .expect("cache shard lock")
-            .insert(plan);
+        let slot = CacheSlot {
+            plan,
+            verified_aliases: Vec::new(),
+        };
+        let evicted = self.slots.shard(slot.plan.fingerprint()).push(slot);
         self.evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        evicted
+        evicted.into_iter().map(|slot| slot.plan).collect()
     }
 
     fn stats(&self) -> CacheStats {
@@ -384,54 +296,18 @@ impl ShardedPlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard lock").slots.len())
-                .sum(),
+            entries: self.slots.len(),
         }
     }
 
-    /// Rebuild with a new shard count and/or total capacity, rehashing the
-    /// surviving slots.  Requires exclusive access (`&mut`), so this is a
-    /// construction-time operation on the engine builder — no locks are
-    /// taken.  Recency order is preserved globally on re-insertion; slots
-    /// that no longer fit their new shard's share are evicted.
-    fn reconfigure(&mut self, shard_count: usize, total_capacity: usize) {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
-        let mut slots: Vec<CacheSlot> = Vec::new();
-        for shard in &mut self.shards {
-            slots.append(&mut shard.get_mut().expect("cache shard lock").slots);
-        }
-        slots.sort_by_key(|s| s.last_used);
-        self.requested_shards = requested;
-        self.total_capacity = total_capacity;
-        self.shards = (0..effective)
-            .map(|i| {
-                Mutex::new(PlanCache::empty(shard_capacity(
-                    total_capacity,
-                    effective,
-                    i,
-                )))
-            })
-            .collect();
-        let mut evicted = (slots.len() as u64).saturating_sub(total_capacity as u64);
-        // Oldest first, so later (more recent) inserts are also the more
-        // recent entries of their new shard; keep only the newest
-        // `total_capacity` overall before distribution.  (Recency across
-        // old shards is compared by per-shard ticks — approximate, like the
-        // sharded LRU itself.)
-        let keep_from = slots.len().saturating_sub(total_capacity);
-        for slot in slots.drain(..).skip(keep_from) {
-            let index = (slot.fingerprint % effective as u64) as usize;
-            evicted += self.shards[index]
-                .get_mut()
-                .expect("cache shard lock")
-                .insert(slot.plan)
-                .len() as u64;
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    /// Reshard and resize, keeping the cached plans that still fit (see
+    /// [`Sharded::resize`]); plans that no longer fit count as evictions.
+    fn resize(&mut self, shards: usize, capacity: usize) {
+        let evicted = self
+            .slots
+            .resize(shards, capacity, |slot| slot.plan.fingerprint());
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -497,78 +373,76 @@ impl DeltaReport {
     }
 }
 
-struct IndexSlot {
+/// One cached index, filed under the [`structure_hash`] of its database.
+/// The index shares its database (`Arc<Structure>` inside
+/// [`StructureIndex`]); hash matches are confirmed by full structural
+/// equality against [`StructureIndex::structure`], so a collision degrades
+/// to a rebuild, never a wrong index — and the cache holds no second copy
+/// of the database.
+struct CachedIndex {
     hash: u64,
-    /// The index shares its database (`Arc<Structure>` inside
-    /// [`StructureIndex`]); hash matches are confirmed by full structural
-    /// equality against [`StructureIndex::structure`], so a collision
-    /// degrades to a rebuild, never a wrong index — and the slot holds no
-    /// second copy of the database.
     index: Arc<StructureIndex>,
-    last_used: u64,
 }
 
-struct IndexShard {
-    capacity: usize,
-    tick: u64,
-    slots: Vec<IndexSlot>,
+impl CachedIndex {
+    fn holds(&self, hash: u64, database: &Structure) -> bool {
+        self.hash == hash && self.index.structure() == database
+    }
+
+    fn is(&self, alias: &Weak<StructureIndex>) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.index), alias.as_ptr())
+    }
 }
 
 /// One entry of the content-token alias table: the `O(1)` fast path in
 /// front of the hash-keyed shards.  A [content
 /// token](cq_structures::Structure::content_token) is process-unique per
 /// content *state* — a token match implies content equality, so an alias
-/// hit serves the index without hashing the database.  The entry also
-/// remembers the shard hash its index is filed under, so the in-place
-/// delta path can take the slot out without rehashing either.
-struct IndexAlias {
+/// hit serves the index without hashing the database.  The entry
+/// remembers the shard hash its index is filed under (so the in-place
+/// delta path can take the slot out without rehashing either) and holds
+/// the index only weakly: an alias serves an index only while it is still
+/// in its shard, so the aliases never keep an evicted index alive.
+struct TokenAlias {
     token: u64,
     hash: u64,
-    index: Arc<StructureIndex>,
+    index: Weak<StructureIndex>,
+}
+
+/// Where [`IndexCache::apply_delta`] finds the pre-delta content: a
+/// borrowed database, or the previous round's index handed back by
+/// [`Engine::apply_delta_chained`].
+enum DeltaSource<'a> {
+    Database(&'a Structure),
+    Chained(Arc<StructureIndex>),
 }
 
 /// The sharded **instance-index cache**: one [`StructureIndex`] per
 /// distinct database, shared (`Arc`) by every solver dispatch — decision
 /// and counting, across the batch fan-out's worker threads.  Keyed by
-/// [`structure_hash`] and confirmed by structural equality.
-struct InstanceIndexCache {
-    shards: Vec<Mutex<IndexShard>>,
-    /// The shard count the caller asked for (the instantiated count is
-    /// clamped so no shard has zero slots); remembered so a later capacity
-    /// change keeps the requested spread.
-    requested_shards: usize,
-    total_capacity: usize,
-    /// Token → index aliases, most-recently-used at the back, capped at
-    /// [`Self::alias_capacity`].  An entry can never go stale: it is
-    /// recorded only when its index content-equals the token's structure,
-    /// and an index is never mutated while *any* shared `Arc` to it exists
-    /// (the delta path takes the cache's references out first and clones
-    /// when a holdout remains), so whatever an alias serves is exactly the
-    /// content its token names.
-    aliases: Mutex<Vec<IndexAlias>>,
+/// [`structure_hash`] and confirmed by structural equality; the total
+/// capacity bounds the indexes the cache keeps alive.
+struct IndexCache {
+    slots: Sharded<CachedIndex>,
+    /// Token → index aliases, capped at the shards' total capacity; an
+    /// alias whose index left its shard matches nothing and ages out.  An
+    /// alias can never serve stale content: it is recorded only when its
+    /// index content-equals the token's structure, and an index is mutated
+    /// only once the delta path owns its last strong `Arc` — the mutation
+    /// moves it out of its allocation, so `Weak`s to the old state no
+    /// longer match any slot.
+    aliases: Mutex<Lru<TokenAlias>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     hash_computes: AtomicU64,
 }
 
-impl InstanceIndexCache {
-    fn new(shard_count: usize, total_capacity: usize) -> InstanceIndexCache {
-        let requested = shard_count.max(1);
-        let effective = effective_shards(requested, total_capacity);
-        InstanceIndexCache {
-            shards: (0..effective)
-                .map(|i| {
-                    Mutex::new(IndexShard {
-                        capacity: shard_capacity(total_capacity, effective, i),
-                        tick: 0,
-                        slots: Vec::new(),
-                    })
-                })
-                .collect(),
-            requested_shards: requested,
-            total_capacity,
-            aliases: Mutex::new(Vec::new()),
+impl IndexCache {
+    fn new(shards: usize, capacity: usize) -> IndexCache {
+        IndexCache {
+            slots: Sharded::new(shards, capacity),
+            aliases: Mutex::new(Lru::new(capacity)),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -576,50 +450,19 @@ impl InstanceIndexCache {
         }
     }
 
-    /// The alias table keeps one entry per cached index at most, so it is
-    /// bounded by the same knob as the shards themselves.
-    fn alias_capacity(&self) -> usize {
-        self.total_capacity
+    fn aliases(&self) -> MutexGuard<'_, Lru<TokenAlias>> {
+        self.aliases.lock().expect("index alias lock")
     }
 
-    /// The token-alias fast path: a validated hit returns the index and its
-    /// shard hash without touching [`structure_hash`].
-    fn alias_lookup(&self, token: u64) -> Option<(u64, Arc<StructureIndex>)> {
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        let pos = aliases.iter().position(|a| a.token == token)?;
-        let entry = aliases.remove(pos);
-        let found = (entry.hash, Arc::clone(&entry.index));
-        aliases.push(entry); // most-recently-used at the back
-        Some(found)
-    }
-
-    /// Record (or refresh) the alias of a cached index, evicting the
-    /// least-recently-used entry beyond capacity.
-    fn alias_record(&self, token: u64, hash: u64, index: &Arc<StructureIndex>) {
-        if self.alias_capacity() == 0 {
-            return;
-        }
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        if let Some(pos) = aliases.iter().position(|a| a.token == token) {
-            aliases.remove(pos);
-        } else if aliases.len() >= self.alias_capacity() {
-            aliases.remove(0); // least-recently-used at the front
-        }
-        aliases.push(IndexAlias {
+    /// Record (or refresh) the alias of a cached index.
+    fn alias(&self, token: u64, hash: u64, index: &Arc<StructureIndex>) {
+        let mut aliases = self.aliases();
+        aliases.take(|alias| alias.token == token);
+        aliases.push(TokenAlias {
             token,
             hash,
-            index: Arc::clone(index),
+            index: Arc::downgrade(index),
         });
-    }
-
-    /// Drop the alias entry of `token` (the delta path retires the old
-    /// content state before mutating, so the mutation usually owns the only
-    /// remaining `Arc` and clones nothing).
-    fn alias_take(&self, token: u64) -> Option<(u64, Arc<StructureIndex>)> {
-        let mut aliases = self.aliases.lock().expect("index alias lock");
-        let pos = aliases.iter().position(|a| a.token == token)?;
-        let entry = aliases.remove(pos);
-        Some((entry.hash, entry.index))
     }
 
     /// [`structure_hash`] with its metering — every `O(|B|)` hash the cache
@@ -636,91 +479,79 @@ impl InstanceIndexCache {
     ///
     /// Repeat lookups are `O(1)`: the first sight of a content state pays
     /// one [`structure_hash`] and records a token alias; every later lookup
-    /// presenting the same token is served from the alias table without
-    /// rehashing the database (metered by [`IndexStats::hash_computes`]).
+    /// presenting the same token is served through the alias without
+    /// rehashing the database (metered by [`IndexStats::hash_computes`]),
+    /// and refreshes the index's recency in its shard like any other hit.
     fn get(&self, database: &Structure) -> Arc<StructureIndex> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if self.total_capacity == 0 {
+        if self.slots.capacity() == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Arc::new(StructureIndex::new(database));
         }
         let token = database.content_token();
-        if let Some((_, index)) = self.alias_lookup(token) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return index;
-        }
-        let hash = self.hashed(database);
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        {
-            let mut shard = shard.lock().expect("index shard lock");
-            shard.tick += 1;
-            let now = shard.tick;
-            if let Some(slot) = shard
-                .slots
-                .iter_mut()
-                .find(|s| s.hash == hash && s.index.structure() == database)
-            {
-                slot.last_used = now;
-                let index = Arc::clone(&slot.index);
-                drop(shard);
+        let alias = self
+            .aliases()
+            .get(|alias| alias.token == token)
+            .map(|alias| (alias.hash, alias.index.clone()));
+        if let Some((hash, alias)) = &alias {
+            if let Some(cached) = self.slots.shard(*hash).get(|cached| cached.is(alias)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.alias_record(token, hash, &index);
-                return index;
+                return Arc::clone(&cached.index);
             }
         }
-        // Build outside the lock so concurrent misses on *different*
-        // databases of the same shard do not serialize on the build.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let index = Arc::new(StructureIndex::new(database));
-        let index = self.insert_slot(hash, index, Some(database));
-        self.alias_record(token, hash, &index);
+        // No alias, or its index left the shard: find the content by hash.
+        let hash = alias.map_or_else(|| self.hashed(database), |(hash, _)| hash);
+        let found = self
+            .slots
+            .shard(hash)
+            .get(|cached| cached.holds(hash, database))
+            .map(|cached| Arc::clone(&cached.index));
+        let index = match found {
+            Some(index) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                index
+            }
+            None => {
+                // Build outside the lock so concurrent misses on *different*
+                // databases of the same shard do not serialize on the build.
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.file(
+                    hash,
+                    Arc::new(StructureIndex::new(database)),
+                    Some(database),
+                )
+            }
+        };
+        self.alias(token, hash, &index);
         index
     }
 
-    /// File `index` into its shard under `hash`, evicting
-    /// least-recently-used slots beyond capacity.  When `racing_against` is
-    /// given and an equal index was inserted concurrently, the existing one
-    /// wins and is returned (ours is dropped).
-    fn insert_slot(
+    /// File `index` into its shard under `hash` as the most recently used,
+    /// evicting the least recently used beyond capacity.  When
+    /// `racing_against` is given and an equal index was inserted
+    /// concurrently, the existing one wins and is returned (ours is
+    /// dropped).
+    fn file(
         &self,
         hash: u64,
         index: Arc<StructureIndex>,
         racing_against: Option<&Structure>,
     ) -> Arc<StructureIndex> {
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        let mut shard = shard.lock().expect("index shard lock");
+        let mut shard = self.slots.shard(hash);
         if let Some(database) = racing_against {
-            if let Some(slot) = shard
-                .slots
-                .iter()
-                .find(|s| s.hash == hash && s.index.structure() == database)
-            {
-                // A racing builder beat us: share its index, drop ours.
-                return Arc::clone(&slot.index);
+            if let Some(cached) = shard.get(|cached| cached.holds(hash, database)) {
+                return Arc::clone(&cached.index);
             }
         }
-        while shard.slots.len() >= shard.capacity.max(1) {
-            let pos = shard
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            shard.slots.swap_remove(pos);
-        }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.slots.push(IndexSlot {
+        shard.push(CachedIndex {
             hash,
             index: Arc::clone(&index),
-            last_used: tick,
         });
         index
     }
 
-    /// Apply a [`DeltaBatch`] to the cached index of `database` **in
-    /// place** — no index rebuild, no structure copy on the usual path.
+    /// Apply a [`DeltaBatch`] to the cached index of the source's content
+    /// **in place** — no index rebuild, no structure copy on the usual path.
     ///
     /// The pre-delta index is taken *out* of the alias table and its shard
     /// (so the mutation typically owns the only `Arc` and
@@ -731,43 +562,9 @@ impl InstanceIndexCache {
     /// miss — while all delta-path traffic finds the index through the
     /// token of its post-delta structure in `O(1)`.
     ///
-    /// A database never seen before is indexed first (that build is the one
-    /// exception to "no rebuild" — there is nothing to maintain yet).
-    /// Validation errors leave the cache exactly as it was.
-    fn apply_delta(
-        &self,
-        database: &Structure,
-        batch: &DeltaBatch,
-    ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let token = database.content_token();
-        if self.total_capacity == 0 {
-            // Caching disabled: mutate a throwaway index so the answer
-            // semantics match the cached path.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let index = Arc::new(StructureIndex::new(database));
-            return self.apply_and_recache(None, token, index, batch);
-        }
-        let (hash, cached) = self.take_for_delta(token, database);
-        let index = match cached {
-            Some(index) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                index
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::new(StructureIndex::new(database))
-            }
-        };
-        self.apply_and_recache(Some(hash), token, index, batch)
-    }
-
-    /// The chained form of [`Self::apply_delta`]: the caller hands back the
-    /// `Arc` of the previous round's index instead of a `&Structure`.
-    ///
-    /// Dropping the caller's reference *before* the mutation is what makes
-    /// steady-state churn truly `O(delta)`: with the alias and shard
-    /// references taken out and the caller's `Arc` consumed,
+    /// A [`DeltaSource::Chained`] source is dropped *before* the mutation,
+    /// which is what makes steady-state churn truly `O(delta)`: with the
+    /// shard reference taken out and the caller's `Arc` consumed,
     /// [`Arc::try_unwrap`] owns the index outright and
     /// [`StructureIndex::apply_delta`]'s `Arc::make_mut` mutates the
     /// structure in place — no index clone, no structure copy.  The
@@ -775,77 +572,58 @@ impl InstanceIndexCache {
     /// somewhere), so a round loop over it pays one copy-on-write structure
     /// clone per round.
     ///
-    /// Never builds an index: even on a full cache miss the caller's own
-    /// index is the thing to mutate.
-    fn apply_delta_owned(
+    /// A database never seen before is indexed first (that build is the one
+    /// exception to "no rebuild" — there is nothing to maintain yet); a
+    /// chained source never builds, since even on a full cache miss the
+    /// caller's own index is the thing to mutate.  A batch failing
+    /// whole-batch validation mutates nothing, and the untouched index goes
+    /// back under its old token: the cache is left exactly as it was.
+    fn apply_delta(
         &self,
-        caller: Arc<StructureIndex>,
+        source: DeltaSource<'_>,
         batch: &DeltaBatch,
     ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let token = caller.structure().content_token();
-        if self.total_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return self.apply_and_recache(None, token, caller, batch);
-        }
-        let (hash, cached) = self.take_for_delta(token, caller.structure());
-        let index = match cached {
-            Some(index) => {
-                // The alias invariant says a cached index holds exactly the
-                // content `token` names, so it and `caller` are
-                // interchangeable (normally the same allocation): drop the
-                // caller's `Arc` so the mutation owns the last one.
-                drop(caller);
+        let database = match &source {
+            DeltaSource::Database(database) => *database,
+            DeltaSource::Chained(index) => index.structure(),
+        };
+        let token = database.content_token();
+        // With caching disabled a throwaway index is mutated, so the answer
+        // semantics match the cached path.  Otherwise the index is found
+        // through its token alias, else (alias evicted, or a report from
+        // another engine) its content hash.
+        let (hash, cached) = if self.slots.capacity() == 0 {
+            (None, None)
+        } else {
+            let alias = self.aliases().take(|alias| alias.token == token);
+            let hash = alias
+                .as_ref()
+                .map_or_else(|| self.hashed(database), |alias| alias.hash);
+            let taken = self.slots.shard(hash).take(|cached| match &alias {
+                Some(alias) => cached.is(&alias.index),
+                None => cached.holds(hash, database),
+            });
+            (Some(hash), taken.map(|cached| cached.index))
+        };
+        let index = match (cached, source) {
+            // A cached index holds exactly the content `token` names, so it
+            // and a chained source are interchangeable (normally the same
+            // allocation): the source's `Arc` drops with this match, so the
+            // mutation owns the last one.
+            (Some(index), _) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 index
             }
-            None => {
+            (None, DeltaSource::Chained(caller)) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 caller
             }
+            (None, DeltaSource::Database(database)) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::new(StructureIndex::new(database))
+            }
         };
-        self.apply_and_recache(Some(hash), token, index, batch)
-    }
-
-    /// Take the cached index of a content state out of the cache — through
-    /// its token alias, else (alias evicted, or a report from another
-    /// engine) its content hash — unhooking the shard's `Arc` so the delta
-    /// that follows owns the last one.  Returns the shard hash and the
-    /// index, if cached.
-    fn take_for_delta(
-        &self,
-        token: u64,
-        database: &Structure,
-    ) -> (u64, Option<Arc<StructureIndex>>) {
-        let (hash, aliased) = match self.alias_take(token) {
-            Some((hash, index)) => (hash, Some(index)),
-            None => (self.hashed(database), None),
-        };
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        let mut shard = shard.lock().expect("index shard lock");
-        let slot = shard
-            .slots
-            .iter()
-            .position(|s| match &aliased {
-                Some(index) => Arc::ptr_eq(&s.index, index),
-                None => s.hash == hash && s.index.structure() == database,
-            })
-            .map(|pos| shard.slots.swap_remove(pos));
-        drop(shard);
-        (hash, aliased.or(slot.map(|slot| slot.index)))
-    }
-
-    /// Apply `batch` to `index` and re-file the result under `hash` with a
-    /// fresh token alias (`None`: caching disabled).  A batch failing
-    /// whole-batch validation mutates nothing, and the untouched index goes
-    /// back under its old token.
-    fn apply_and_recache(
-        &self,
-        hash: Option<u64>,
-        token: u64,
-        index: Arc<StructureIndex>,
-        batch: &DeltaBatch,
-    ) -> Result<(Arc<StructureIndex>, Arc<AppliedDelta>), StructureError> {
         // Concurrent holders of the old Arc (in-flight evaluations, an
         // earlier DeltaReport) keep their pre-delta snapshot; the clone
         // shares the index identity, so warm programs stay keyed right.
@@ -853,12 +631,12 @@ impl InstanceIndexCache {
         let result = owned.apply_delta(batch);
         let mut index = Arc::new(owned);
         if let Some(hash) = hash {
-            index = self.insert_slot(hash, index, None);
+            index = self.file(hash, index, None);
             let token = match result {
                 Ok(_) => index.structure().content_token(),
                 Err(_) => token,
             };
-            self.alias_record(token, hash, &index);
+            self.alias(token, hash, &index);
         }
         result.map(|applied| (index, applied))
     }
@@ -869,11 +647,7 @@ impl InstanceIndexCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             hash_computes: self.hash_computes.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("index shard lock").slots.len())
-                .sum(),
+            entries: self.slots.len(),
         }
     }
 }
@@ -895,21 +669,6 @@ impl Drop for LatchCleanup<'_> {
     }
 }
 
-/// The shard count actually instantiated for a requested count and total
-/// capacity: clamped so every shard's share is at least one slot —
-/// otherwise queries hashing into a zero-capacity shard would silently
-/// never be cached (a zero *total* capacity means caching is off and one
-/// pro-forma shard suffices).
-fn effective_shards(requested: usize, total_capacity: usize) -> usize {
-    requested.min(total_capacity.max(1))
-}
-
-/// Shard `index`'s share of the total capacity: `total / count`, with the
-/// remainder spread over the first `total % count` shards.
-fn shard_capacity(total: usize, count: usize, index: usize) -> usize {
-    total / count + usize::from(index < total % count)
-}
-
 /// The prepared-query evaluation engine: tier registries + sharded plan
 /// cache + parallel batch API.  Cheap to share across threads (`&Engine` is
 /// `Send + Sync`; all interior state is sharded-mutex-guarded or atomic).
@@ -918,8 +677,8 @@ pub struct Engine {
     config: EngineConfig,
     registry: SolverRegistry,
     count_registry: CountRegistry,
-    cache: ShardedPlanCache,
-    indexes: InstanceIndexCache,
+    cache: PlanCache,
+    indexes: IndexCache,
     registered: Mutex<Vec<Arc<PreparedQuery>>>,
     prep: PrepCounters,
     eviction: Option<EvictionSink>,
@@ -959,8 +718,8 @@ impl Engine {
             config,
             registry,
             count_registry: CountRegistry::standard(),
-            cache: ShardedPlanCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY),
-            indexes: InstanceIndexCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_INDEX_CACHE_CAPACITY),
+            cache: PlanCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY),
+            indexes: IndexCache::new(DEFAULT_CACHE_SHARDS, DEFAULT_INDEX_CACHE_CAPACITY),
             registered: Mutex::new(Vec::new()),
             prep: PrepCounters::default(),
             eviction: None,
@@ -979,8 +738,8 @@ impl Engine {
     /// least-recently-used plans immediately, so the new capacity holds from
     /// this call on.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Engine {
-        let shards = self.cache.requested_shards;
-        self.cache.reconfigure(shards, capacity);
+        let shards = self.cache.slots.requested();
+        self.cache.resize(shards, capacity);
         self
     }
 
@@ -989,7 +748,7 @@ impl Engine {
     /// index from scratch — the cold baseline of bench E16).  Cached
     /// indexes are discarded; the shard spread requested earlier is kept.
     pub fn with_index_cache_capacity(mut self, capacity: usize) -> Engine {
-        self.indexes = InstanceIndexCache::new(self.indexes.requested_shards, capacity);
+        self.indexes = IndexCache::new(self.indexes.slots.requested(), capacity);
         self
     }
 
@@ -1006,9 +765,9 @@ impl Engine {
     /// effective value); the request is remembered and takes full effect if
     /// the capacity is later raised.
     pub fn with_cache_shards(mut self, shards: usize) -> Engine {
-        let capacity = self.cache.total_capacity;
-        self.cache.reconfigure(shards, capacity);
-        self.indexes = InstanceIndexCache::new(shards, self.indexes.total_capacity);
+        let capacity = self.cache.slots.capacity();
+        self.cache.resize(shards, capacity);
+        self.indexes = IndexCache::new(shards, self.indexes.slots.capacity());
         self
     }
 
@@ -1031,7 +790,7 @@ impl Engine {
 
     /// The number of cache shards currently configured.
     pub fn cache_shards(&self) -> usize {
-        self.cache.shards.len()
+        self.cache.slots.count()
     }
 
     /// The worker count the batch APIs will fan out to:
@@ -1062,7 +821,7 @@ impl Engine {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             return plan;
         }
-        if self.cache.total_capacity == 0 {
+        if self.cache.slots.capacity() == 0 {
             // Caching disabled: no plan to share, so no latch either —
             // every call pays preparation.
             self.cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -1210,7 +969,9 @@ impl Engine {
         database: &Structure,
         batch: &DeltaBatch,
     ) -> Result<DeltaReport, StructureError> {
-        let (index, applied) = self.indexes.apply_delta(database, batch)?;
+        let (index, applied) = self
+            .indexes
+            .apply_delta(DeltaSource::Database(database), batch)?;
         Ok(DeltaReport { index, applied })
     }
 
@@ -1235,7 +996,9 @@ impl Engine {
         batch: &DeltaBatch,
     ) -> Result<DeltaReport, StructureError> {
         let DeltaReport { index, applied: _ } = report;
-        let (index, applied) = self.indexes.apply_delta_owned(index, batch)?;
+        let (index, applied) = self
+            .indexes
+            .apply_delta(DeltaSource::Chained(index), batch)?;
         Ok(DeltaReport { index, applied })
     }
 
@@ -1727,8 +1490,8 @@ impl Engine {
     fn snapshot_plans(&self) -> Vec<Arc<PreparedQuery>> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for shard in &self.cache.shards {
-            for slot in &shard.lock().expect("cache shard lock").slots {
+        for shard in self.cache.slots.locked() {
+            for slot in shard.iter() {
                 if seen.insert(slot.plan.fingerprint()) {
                     out.push(Arc::clone(&slot.plan));
                 }
@@ -1816,7 +1579,7 @@ impl Engine {
             rejected: store.corrupt_records(),
         };
         let compatible =
-            store.config().plan_compatible(&self.config) && self.cache.total_capacity > 0;
+            store.config().plan_compatible(&self.config) && self.cache.slots.capacity() > 0;
         for record in store.records() {
             if !compatible {
                 summary.rejected += 1;

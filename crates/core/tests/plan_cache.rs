@@ -131,3 +131,84 @@ fn ablated_engine_caches_and_answers_correctly() {
     assert_eq!(engine.cache_stats().misses, 1);
     assert_eq!(engine.cache_stats().hits, 2);
 }
+
+/// The index cache's capacity bounds the indexes it keeps alive, and
+/// `IndexStats::entries` counts exactly those: a content-token alias must
+/// never pin an index its shard has already evicted.
+#[test]
+fn index_cache_keeps_at_most_its_capacity_alive() {
+    use std::sync::{Arc, Weak};
+    let engine = Engine::new(EngineConfig::default())
+        .with_cache_shards(1)
+        .with_index_cache_capacity(2);
+    let (a, b, c) = (families::clique(3), families::cycle(5), families::path(4));
+    let weak_a = Arc::downgrade(&engine.instance_index(&a));
+    let weak_b = Arc::downgrade(&engine.instance_index(&b));
+    engine.instance_index(&a); // served through the content-token alias
+    let weak_c = Arc::downgrade(&engine.instance_index(&c));
+    let alive = [&weak_a, &weak_b, &weak_c]
+        .iter()
+        .filter(|w: &&&Weak<_>| w.upgrade().is_some())
+        .count();
+    assert!(alive <= 2, "{alive} indexes alive in a 2-slot cache");
+    assert_eq!(engine.index_stats().entries, alive);
+}
+
+/// A lookup served through the content-token alias refreshes the index's
+/// recency in its shard: after A, B, A (token hit), C in a 2-slot cache,
+/// B is the least recently used and the one evicted, so a fresh copy of A
+/// (same content, new token) is still a hit and B must be rebuilt.
+#[test]
+fn token_hits_refresh_the_index_recency() {
+    use std::sync::Arc;
+    let engine = Engine::new(EngineConfig::default())
+        .with_cache_shards(1)
+        .with_index_cache_capacity(2);
+    let (a, b, c) = (families::clique(3), families::cycle(5), families::path(4));
+    let index_a = engine.instance_index(&a);
+    engine.instance_index(&b);
+    assert!(Arc::ptr_eq(&index_a, &engine.instance_index(&a)));
+    engine.instance_index(&c);
+    let misses = engine.index_stats().misses;
+    assert_eq!(misses, 3);
+    assert!(
+        Arc::ptr_eq(&index_a, &engine.instance_index(&families::clique(3))),
+        "the recently used index was evicted"
+    );
+    assert_eq!(engine.index_stats().misses, misses, "A was rebuilt");
+    engine.instance_index(&families::cycle(5));
+    assert_eq!(engine.index_stats().misses, misses + 1, "B was kept");
+}
+
+/// A plan's compiled answer programs are a least-recently-used list of
+/// four per database index, keyed by free-element list: a fifth list
+/// evicts the list used longest ago, and re-requesting a list keeps it.
+#[test]
+fn answer_programs_evict_the_least_recently_used_free_list() {
+    use cq_core::PreparedQuery;
+    use cq_structures::StructureIndex;
+    use std::sync::Arc;
+    let plan = PreparedQuery::prepare(&families::path(4), &EngineConfig::default());
+    let index = StructureIndex::new(&families::clique(3));
+    let lists: [&[usize]; 5] = [&[0], &[1], &[2], &[3], &[0, 3]];
+    let first: Vec<_> = lists[..4]
+        .iter()
+        .map(|free| plan.answer_program(&index, free))
+        .collect();
+    // Re-request the oldest list: it becomes the most recently used.
+    assert!(Arc::ptr_eq(
+        &first[0],
+        &plan.answer_program(&index, lists[0])
+    ));
+    plan.answer_program(&index, lists[4]);
+    for kept in [0, 2, 3] {
+        assert!(
+            Arc::ptr_eq(&first[kept], &plan.answer_program(&index, lists[kept])),
+            "free list {kept} recompiled"
+        );
+    }
+    assert!(
+        !Arc::ptr_eq(&first[1], &plan.answer_program(&index, lists[1])),
+        "the least recently used free list survived a fifth"
+    );
+}

@@ -17,10 +17,11 @@
 //! * [`server`] — the service itself: nonblocking accept loop with a
 //!   connection limit, per-connection reader/writer threads (responses
 //!   pipeline in request order), a bounded job queue with
-//!   [`protocol::ErrorCode::Busy`] backpressure, a dispatcher that
-//!   coalesces concurrent singleton requests into the engine's batch
-//!   fan-outs, and a warm-start / save-on-eviction / save-on-shutdown
-//!   plan-store lifecycle.
+//!   [`protocol::ErrorCode::Busy`] backpressure, a dispatcher that drains
+//!   the queued requests of all connections in rounds and runs each round
+//!   job by job on its own thread with a panic guard per job, and a
+//!   warm-start / save-on-eviction / save-on-shutdown plan-store
+//!   lifecycle.
 //! * [`client`] — a blocking client with both strict request/response
 //!   calls and raw send/receive pipelining.
 //!

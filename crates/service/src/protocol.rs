@@ -263,8 +263,8 @@ pub enum Request {
         /// The database instance.
         database: Structure,
     },
-    /// Decide a whole batch in one round trip (fanned out over the
-    /// engine's worker pool).
+    /// Decide a whole batch in one round trip (one dispatcher job,
+    /// answered item by item).
     DecideBatch {
         /// The (query, database) pairs, answered in order.
         items: Vec<(QuerySpec, Structure)>,
@@ -454,10 +454,13 @@ pub struct ServerCounters {
     pub quota_rejections: u64,
     /// Frames rejected at the envelope (checksum, size, version, decode).
     pub frame_errors: u64,
-    /// Engine fan-outs the dispatcher ran (each covers ≥ 1 request).
+    /// Dispatch groups the dispatcher ran, each covering ≥ 1 request: per
+    /// drained round, one for its singleton decides, one for its singleton
+    /// counts and one per other job.  Every job runs on the dispatcher
+    /// thread, one by one, under its own panic guard.
     pub dispatch_rounds: u64,
-    /// Singleton decide/count requests that rode a shared fan-out with at
-    /// least one other request (the coalescing win).
+    /// Singleton decide (count) requests drained in the same round as at
+    /// least one other singleton decide (count).
     pub coalesced_requests: u64,
 }
 

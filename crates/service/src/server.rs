@@ -9,10 +9,10 @@
 //!  per connection: reader thread ──► bounded job queue ──► dispatcher thread
 //!                 │    (frames in,      (admission:            │ drains up to
 //!                 │     decode,          Busy when full)       │ coalesce_limit
-//!                 │     enqueue)                               │ jobs, partitions
-//!                 ▼                                            ▼ decide/count
-//!             writer thread ◄── per-request reply channels ◄── solve_batch /
-//!               (frames out, in request order — pipelining)    count_batch
+//!                 │     enqueue)                               │ jobs, runs them
+//!                 ▼                                            ▼ one by one
+//!             writer thread ◄── per-request reply channels ◄── Work::run
+//!               (frames out, in request order — pipelining)    (panic guard)
 //! ```
 //!
 //! * **Admission control**: connections over `max_connections` are refused
@@ -24,11 +24,12 @@
 //!   answer) and `max_requests_per_second` (token bucket) — so one greedy
 //!   pipeliner cannot starve its peers.  Over-quota requests get a typed
 //!   [`ErrorCode::Busy`] answer, never a disconnect.
-//! * **Coalescing**: the dispatcher greedily drains whatever singleton
-//!   decide/count jobs are queued — across *all* connections — and answers
-//!   them through one `solve_batch_instances` / `count_batch` fan-out over
-//!   the engine's worker pool, so concurrent single-request clients get
-//!   batch throughput without asking for it.
+//! * **Coalescing**: the dispatcher greedily drains whatever jobs are
+//!   queued — across *all* connections, up to `coalesce_limit` — and runs
+//!   the drained round job by job on its own thread, in arrival order,
+//!   each job under its own panic guard.  There is no fan-out over the
+//!   engine's worker pool; [`ServerCounters::coalesced_requests`] counts
+//!   the singleton decides and counts that shared a round.
 //! * **Slow clients**: a peer that stalls mid-frame (or stops reading its
 //!   responses) is disconnected after `io_timeout` without progress; a peer
 //!   idling *between* frames is fine.
@@ -74,7 +75,7 @@ pub struct ServiceConfig {
     /// per decoded request of any kind.  Over-quota requests are answered
     /// [`ErrorCode::Busy`], the connection stays up.  `0` disables.
     pub max_requests_per_second: u32,
-    /// Most singleton requests one dispatcher fan-out coalesces.
+    /// Most queued jobs one dispatcher round drains.
     pub coalesce_limit: usize,
     /// Patience with a peer that has started a frame but stopped feeding
     /// it, or stopped draining its responses.
@@ -111,37 +112,70 @@ pub struct ShutdownReport {
 }
 
 /// A queued unit of engine work plus the channel its answer goes back on.
-enum Job {
-    Decide {
-        query: Arc<PreparedQuery>,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
-    Count {
-        query: Arc<PreparedQuery>,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
-    DecideBatch {
-        items: Vec<(Arc<PreparedQuery>, Structure)>,
-        reply: mpsc::Sender<Response>,
-    },
-    CountBatch {
-        items: Vec<(Arc<PreparedQuery>, Structure)>,
-        reply: mpsc::Sender<Response>,
-    },
-    CountAnswers {
-        query: ConjunctiveQuery,
-        database: Structure,
-        reply: mpsc::Sender<Response>,
-    },
+struct Job {
+    work: Work,
+    reply: mpsc::Sender<Response>,
+}
+
+/// The engine work behind one request, its query specs already resolved.
+enum Work {
+    Decide(Arc<PreparedQuery>, Structure),
+    Count(Arc<PreparedQuery>, Structure),
+    DecideBatch(Vec<(Arc<PreparedQuery>, Structure)>),
+    CountBatch(Vec<(Arc<PreparedQuery>, Structure)>),
+    CountAnswers(ConjunctiveQuery, Structure),
     Answers {
         query: ConjunctiveQuery,
         database: Structure,
         offset: u64,
         limit: usize,
-        reply: mpsc::Sender<Response>,
     },
+}
+
+impl Work {
+    /// Run the work on `engine`.  A panic inside the engine (a
+    /// pathological database) becomes an [`ErrorCode::Internal`] answer to
+    /// this request alone, never a dead dispatcher.
+    fn run(&self, engine: &Engine) -> Response {
+        catch_unwind(AssertUnwindSafe(|| match self {
+            Work::Decide(plan, database) => {
+                Response::Decision(engine.solve_prepared(plan, database))
+            }
+            Work::Count(plan, database) => Response::Count(engine.count_prepared(plan, database)),
+            Work::DecideBatch(items) => Response::DecideBatch(
+                items
+                    .iter()
+                    .map(|(plan, database)| engine.solve_prepared(plan, database))
+                    .collect(),
+            ),
+            Work::CountBatch(items) => Response::CountBatch(
+                items
+                    .iter()
+                    .map(|(plan, database)| engine.count_prepared(plan, database))
+                    .collect(),
+            ),
+            Work::CountAnswers(query, database) => {
+                Response::AnswerCount(engine.count_answers(query, database))
+            }
+            Work::Answers {
+                query,
+                database,
+                offset,
+                limit,
+            } => Response::Answers(engine.answers(query, database, *offset, *limit)),
+        }))
+        .unwrap_or_else(|_| Response::Error {
+            code: ErrorCode::Internal,
+            message: match self {
+                Work::Decide(..) | Work::DecideBatch(_) => "decision evaluation failed",
+                Work::Count(..) | Work::CountBatch(_) => "count evaluation failed",
+                Work::CountAnswers(..) => "answer counting failed",
+                Work::Answers { .. } => "answer enumeration failed",
+            }
+            .to_string(),
+            offset: None,
+        })
+    }
 }
 
 /// One slot of a connection's ordered response stream: either ready now
@@ -683,7 +717,7 @@ impl std::io::Read for FrameSource<'_> {
 fn submit_job(
     shared: &Arc<Shared>,
     quota: &ConnQuota,
-    build: impl FnOnce(mpsc::Sender<Response>) -> Result<Job, Box<Response>>,
+    build: impl FnOnce() -> Result<Work, Box<Response>>,
 ) -> Pending {
     if !quota.try_reserve() {
         shared
@@ -700,7 +734,7 @@ fn submit_job(
         }));
     }
     let (reply, rx) = mpsc::channel();
-    match build(reply).and_then(|job| shared.enqueue(job)) {
+    match build().and_then(|work| shared.enqueue(Job { work, reply })) {
         Ok(()) => Pending::Waiting(rx),
         Err(error) => {
             quota.release();
@@ -742,46 +776,28 @@ fn handle_request(shared: &Arc<Shared>, quota: &ConnQuota, request: Request) -> 
                 fingerprint,
             })))
         }
-        Request::Decide { query, database } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::Decide {
-                query: shared.resolve(query)?,
-                database,
-                reply,
-            })
+        Request::Decide { query, database } => Some(submit_job(shared, quota, || {
+            Ok(Work::Decide(shared.resolve(query)?, database))
         })),
-        Request::Count { query, database } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::Count {
-                query: shared.resolve(query)?,
-                database,
-                reply,
-            })
+        Request::Count { query, database } => Some(submit_job(shared, quota, || {
+            Ok(Work::Count(shared.resolve(query)?, database))
         })),
-        Request::DecideBatch { items } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::DecideBatch {
-                items: resolve_items(shared, items)?,
-                reply,
-            })
+        Request::DecideBatch { items } => Some(submit_job(shared, quota, || {
+            Ok(Work::DecideBatch(resolve_items(shared, items)?))
         })),
-        Request::CountBatch { items } => Some(submit_job(shared, quota, |reply| {
-            Ok(Job::CountBatch {
-                items: resolve_items(shared, items)?,
-                reply,
-            })
+        Request::CountBatch { items } => Some(submit_job(shared, quota, || {
+            Ok(Work::CountBatch(resolve_items(shared, items)?))
         })),
-        Request::CountAnswers { query, database } => Some(submit_job(shared, quota, |reply| {
+        Request::CountAnswers { query, database } => Some(submit_job(shared, quota, || {
             validate_answer_query(&query)?;
-            Ok(Job::CountAnswers {
-                query,
-                database,
-                reply,
-            })
+            Ok(Work::CountAnswers(query, database))
         })),
         Request::Answers {
             query,
             database,
             offset,
             limit,
-        } => Some(submit_job(shared, quota, |reply| {
+        } => Some(submit_job(shared, quota, || {
             validate_answer_query(&query)?;
             if limit > MAX_ANSWER_PAGE_LIMIT {
                 return Err(Box::new(Response::Error {
@@ -793,12 +809,11 @@ fn handle_request(shared: &Arc<Shared>, quota: &ConnQuota, request: Request) -> 
                     offset: None,
                 }));
             }
-            Ok(Job::Answers {
+            Ok(Work::Answers {
                 query,
                 database,
                 offset,
                 limit: limit as usize,
-                reply,
             })
         })),
     }
@@ -869,11 +884,9 @@ fn write_loop(
     }
 }
 
-/// Dispatcher: drain queued jobs (up to `coalesce_limit` per round),
-/// partition singletons by kind, and answer each round through the
-/// engine's batch fan-outs.  Exits only when shutdown is flagged *and* the
-/// queue is verifiably empty under the lock — every admitted job is
-/// answered.
+/// Dispatcher: drain queued jobs (up to `coalesce_limit` per round) and
+/// run them.  Exits only when shutdown is flagged *and* the queue is
+/// verifiably empty under the lock — every admitted job is answered.
 fn dispatcher_loop(shared: &Arc<Shared>) {
     loop {
         let jobs = {
@@ -897,189 +910,34 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one drained round: coalesce singleton decides into one
-/// `solve_batch_instances` call, singleton counts into one `count_batch`
-/// call, and run explicit batches — and the answer jobs of protocol
-/// version 4 — as their own fan-outs.
+/// Execute one drained round: its jobs run one by one on the dispatcher
+/// thread, in arrival order, each under its own panic guard.
+///
+/// The counters describe the round's makeup: one dispatch round for its
+/// singleton decides, one for its singleton counts and one per other job;
+/// singleton decides (counts) are coalesced when the round holds more
+/// than one of them.
 fn run_round(shared: &Arc<Shared>, jobs: Vec<Job>) {
-    let mut decides: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
-    let mut counts: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = Vec::new();
-    let mut batches: Vec<Job> = Vec::new();
+    let decides = jobs
+        .iter()
+        .filter(|job| matches!(job.work, Work::Decide(..)))
+        .count();
+    let counts = jobs
+        .iter()
+        .filter(|job| matches!(job.work, Work::Count(..)))
+        .count();
+    let rounds = usize::from(decides > 0) + usize::from(counts > 0) + jobs.len() - decides - counts;
+    let coalesced: usize = [decides, counts].into_iter().filter(|&n| n > 1).sum();
+    let counters = &shared.counters;
+    counters
+        .dispatch_rounds
+        .fetch_add(rounds as u64, Ordering::Relaxed);
+    counters
+        .coalesced_requests
+        .fetch_add(coalesced as u64, Ordering::Relaxed);
     for job in jobs {
-        match job {
-            Job::Decide {
-                query,
-                database,
-                reply,
-            } => decides.push((query, database, reply)),
-            Job::Count {
-                query,
-                database,
-                reply,
-            } => counts.push((query, database, reply)),
-            batch => batches.push(batch),
-        }
+        let _ = job.reply.send(job.work.run(&shared.engine));
     }
-
-    if !decides.is_empty() {
-        shared
-            .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        if decides.len() > 1 {
-            shared
-                .counters
-                .coalesced_requests
-                .fetch_add(decides.len() as u64, Ordering::Relaxed);
-        }
-        let reports = solve_prepared_batch(shared, &decides);
-        for ((_, _, reply), report) in decides.iter().zip(reports) {
-            let _ = reply.send(report);
-        }
-    }
-    if !counts.is_empty() {
-        shared
-            .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        if counts.len() > 1 {
-            shared
-                .counters
-                .coalesced_requests
-                .fetch_add(counts.len() as u64, Ordering::Relaxed);
-        }
-        let reports = count_prepared_batch(shared, &counts);
-        for ((_, _, reply), report) in counts.iter().zip(reports) {
-            let _ = reply.send(report);
-        }
-    }
-    for batch in batches {
-        shared
-            .counters
-            .dispatch_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        match batch {
-            Job::DecideBatch { items, reply } => {
-                let singles: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = items
-                    .into_iter()
-                    .map(|(q, d)| (q, d, reply.clone()))
-                    .collect();
-                let reports: Vec<Response> = solve_prepared_batch(shared, &singles);
-                let mut out = Vec::with_capacity(reports.len());
-                for r in reports {
-                    match r {
-                        Response::Decision(report) => out.push(report),
-                        other => {
-                            let _ = reply.send(other);
-                            return;
-                        }
-                    }
-                }
-                let _ = reply.send(Response::DecideBatch(out));
-            }
-            Job::CountBatch { items, reply } => {
-                let singles: Vec<(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)> = items
-                    .into_iter()
-                    .map(|(q, d)| (q, d, reply.clone()))
-                    .collect();
-                let reports: Vec<Response> = count_prepared_batch(shared, &singles);
-                let mut out = Vec::with_capacity(reports.len());
-                for r in reports {
-                    match r {
-                        Response::Count(report) => out.push(report),
-                        other => {
-                            let _ = reply.send(other);
-                            return;
-                        }
-                    }
-                }
-                let _ = reply.send(Response::CountBatch(out));
-            }
-            Job::CountAnswers {
-                query,
-                database,
-                reply,
-            } => {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    Response::AnswerCount(shared.engine.count_answers(&query, &database))
-                }));
-                let _ = reply.send(result.unwrap_or_else(|_| Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "answer counting failed".to_string(),
-                    offset: None,
-                }));
-            }
-            Job::Answers {
-                query,
-                database,
-                offset,
-                limit,
-                reply,
-            } => {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    Response::Answers(shared.engine.answers(&query, &database, offset, limit))
-                }));
-                let _ = reply.send(result.unwrap_or_else(|_| Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "answer enumeration failed".to_string(),
-                    offset: None,
-                }));
-            }
-            Job::Decide { .. } | Job::Count { .. } => unreachable!("partitioned above"),
-        }
-    }
-}
-
-/// One decide fan-out over already-prepared plans.  Panics inside the
-/// engine (pathological databases) surface as [`ErrorCode::Internal`]
-/// responses, never a dead dispatcher.
-fn solve_prepared_batch(
-    shared: &Arc<Shared>,
-    items: &[(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)],
-) -> Vec<Response> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        items
-            .iter()
-            .map(|(plan, database, _)| {
-                Response::Decision(shared.engine.solve_prepared(plan, database))
-            })
-            .collect::<Vec<Response>>()
-    }));
-    result.unwrap_or_else(|_| {
-        items
-            .iter()
-            .map(|_| Response::Error {
-                code: ErrorCode::Internal,
-                message: "decision evaluation failed".to_string(),
-                offset: None,
-            })
-            .collect()
-    })
-}
-
-/// One count fan-out over already-prepared plans.
-fn count_prepared_batch(
-    shared: &Arc<Shared>,
-    items: &[(Arc<PreparedQuery>, Structure, mpsc::Sender<Response>)],
-) -> Vec<Response> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        items
-            .iter()
-            .map(|(plan, database, _)| {
-                Response::Count(shared.engine.count_prepared(plan, database))
-            })
-            .collect::<Vec<Response>>()
-    }));
-    result.unwrap_or_else(|_| {
-        items
-            .iter()
-            .map(|_| Response::Error {
-                code: ErrorCode::Internal,
-                message: "count evaluation failed".to_string(),
-                offset: None,
-            })
-            .collect()
-    })
 }
 
 /// One-line server-side log (stderr, so stdout stays parseable for the

@@ -455,3 +455,48 @@ fn requests_during_drain_are_rejected_as_shutting_down() {
     }
     server.shutdown().expect("graceful shutdown");
 }
+
+/// With `coalesce_limit: 1` every drained round holds one job, so each
+/// engine-bound request is its own dispatch round and none is coalesced.
+#[test]
+fn uncoalesced_rounds_count_one_dispatch_per_request() {
+    let server = start_server(ServiceConfig {
+        coalesce_limit: 1,
+        ..test_config()
+    });
+    let mut client = connect(&server);
+    let query = families::star(3);
+    let database = cq_workloads::random_graph_structure(10, 0.4, 2);
+    let pair = || (QuerySpec::Inline(query.clone()), database.clone());
+    let mut requests = Vec::new();
+    for _ in 0..3 {
+        let (query, database) = pair();
+        requests.push(Request::Decide { query, database });
+        let (query, database) = pair();
+        requests.push(Request::Count { query, database });
+    }
+    requests.push(Request::DecideBatch {
+        items: vec![pair(), pair()],
+    });
+    let mut answer_query = cq_structures::ConjunctiveQuery::from_structure(&query);
+    let first = answer_query.variables()[0].clone();
+    answer_query.mark_free(first).expect("star variables exist");
+    requests.push(Request::CountAnswers {
+        query: answer_query,
+        database: database.clone(),
+    });
+    for request in &requests {
+        client.send(request).expect("send");
+    }
+    for _ in &requests {
+        let response = client.receive().expect("response");
+        assert!(
+            !matches!(response, Response::Error { .. }),
+            "unexpected {response:?}"
+        );
+    }
+    let server_counters = client.stats().expect("stats").server;
+    assert_eq!(server_counters.dispatch_rounds, requests.len() as u64);
+    assert_eq!(server_counters.coalesced_requests, 0);
+    server.shutdown().expect("graceful shutdown");
+}
